@@ -66,8 +66,8 @@ fn main() {
     // ---- 1. Calibration ------------------------------------------------
     println!("EQ1: calibration campaign ({HOURS} h, cautious, urban)…");
     let calibration = campaign(1);
-    let (measured, _) = calibration.measured(&classification);
-    let exposure = measured.exposure();
+    let evidence = calibration.evidence(&classification);
+    let exposure = calibration.exposure();
 
     // Per-type rates and per-(type, class) outcome counts.
     let mut class_counts: BTreeMap<IncidentTypeId, BTreeMap<ConsequenceClassId, u64>> =
@@ -130,7 +130,7 @@ fn main() {
     // Shares: empirical proportions per incident type.
     let mut share_builder = ShareMatrix::builder();
     for (incident, per_class) in &class_counts {
-        let n_k = measured.count(incident).max(1);
+        let n_k = evidence.count(incident.as_str()).observations().max(1);
         for (class, n_kj) in per_class {
             let p = (*n_kj as f64 / n_k as f64).min(1.0);
             share_builder = share_builder.share(
@@ -148,7 +148,7 @@ fn main() {
         .leaves()
         .iter()
         .map(|leaf| {
-            let rate = measured.count(leaf.id()) as f64 / exposure.value();
+            let rate = evidence.count(leaf.id().as_str()).observations() as f64 / exposure.value();
             let budget = (rate * ALLOCATION_MARGIN).max(floor);
             (
                 leaf.id().clone(),
@@ -183,8 +183,8 @@ fn main() {
     if let Some(throughput) = &verification.throughput {
         println!("  {throughput}");
     }
-    let fresh = verification.measured.clone();
-    let report = verify(&norm, &allocation, &fresh, 0.90).expect("verification runs");
+    let report =
+        verify(&norm, &allocation, &verification.evidence, 0.90).expect("verification runs");
     let (demonstrated, inconclusive, violated) = verdict_counts(&report);
     println!(
         "verdicts at 90%: {demonstrated} demonstrated, {inconclusive} inconclusive, {violated} violated"
@@ -215,8 +215,8 @@ fn main() {
     if let Some(throughput) = &degraded.throughput {
         println!("  {throughput}");
     }
-    let faulty = degraded.measured.clone();
-    let fault_report = verify(&norm, &allocation, &faulty, 0.90).expect("verification runs");
+    let fault_report =
+        verify(&norm, &allocation, &degraded.evidence, 0.90).expect("verification runs");
     let (f_dem, f_inc, f_vio) = verdict_counts(&fault_report);
     println!("verdicts at 90%: {f_dem} demonstrated, {f_inc} inconclusive, {f_vio} violated");
     assert!(

@@ -127,8 +127,8 @@ fn main() {
     println!("\nIdentical QRN verification applied to both policies (95%):");
     let mut verdicts = Vec::new();
     for result in [&cautious, &reactive] {
-        let (measured, _) = result.measured(&classification);
-        let report = verify(&norm, &allocation, &measured, 0.95).expect("verification runs");
+        let evidence = result.evidence(&classification);
+        let report = verify(&norm, &allocation, &evidence, 0.95).expect("verification runs");
         let count = |v: Verdict| report.goals.iter().filter(|g| g.verdict == v).count();
         println!(
             "  {:<9}: {} demonstrated, {} inconclusive, {} violated (of {} goals)",

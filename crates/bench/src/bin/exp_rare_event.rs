@@ -151,8 +151,8 @@ fn main() {
                 .expect("effort"),
         )
         .expect("splitting campaign runs");
-    let check_crude_rate =
-        check_crude.measured.count(&rare) as f64 / check_crude.measured.exposure().value();
+    let check_crude_rate = check_crude.evidence.count(rare.as_str()).observations() as f64
+        / check_crude.exposure().value();
     let check_split_rate = check_split
         .rate(&rare)
         .expect("leaf exists")
@@ -162,7 +162,7 @@ fn main() {
     let check_ratio = check_split_rate / check_crude_rate;
     println!(
         "  {RARE_LEAF}: crude {check_crude_rate:.3e}/h ({} events) vs splitting {check_split_rate:.3e}/h (ratio {check_ratio:.3})",
-        check_crude.measured.count(&rare),
+        check_crude.evidence.count(rare.as_str()).observations(),
     );
 
     // ---- Leg 2: the rare event ------------------------------------------
@@ -178,8 +178,8 @@ fn main() {
     if let Some(throughput) = &crude.throughput {
         println!("  {throughput}");
     }
-    let crude_exposure = crude.measured.exposure();
-    let crude_rare = crude.measured.count(&rare);
+    let crude_exposure = crude.exposure();
+    let crude_rare = crude.evidence.count(rare.as_str()).observations();
     let crude_cost_per_hour = crude.encounter_seconds / crude_exposure.value();
     println!(
         "  {RARE_LEAF}: {crude_rare} events in {:.0} h; cost {crude_cost_per_hour:.2} enc-s/h",
@@ -257,8 +257,8 @@ fn main() {
             },
             "cross_check": {
                 "gap_range_m": [16.0, 40.0],
-                "crude_hours": check_crude.measured.exposure().value(),
-                "crude_events": check_crude.measured.count(&rare),
+                "crude_hours": check_crude.exposure().value(),
+                "crude_events": check_crude.evidence.count(rare.as_str()).observations(),
                 "crude_rate_per_hour": check_crude_rate,
                 "splitting_hours": check_split.exposure().value(),
                 "splitting_rate_per_hour": check_split_rate,

@@ -7,8 +7,8 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
 use qrn_core::incident::IncidentRecord;
-use qrn_core::verification::MeasuredIncidents;
 use qrn_core::IncidentClassification;
+use qrn_stats::evidence::EvidenceLedger;
 use qrn_units::Hours;
 
 use crate::CliError;
@@ -51,21 +51,18 @@ pub struct RecordsFile {
 }
 
 impl RecordsFile {
-    /// Classifies the records into measured incident counts.
+    /// Classifies the records into unit-weight evidence over the file's
+    /// exposure (non-incidents as unclassified mass).
     ///
     /// # Errors
     ///
     /// Returns [`CliError`] for a non-finite or negative exposure.
-    pub fn measured(
+    pub fn evidence(
         &self,
         classification: &IncidentClassification,
-    ) -> Result<(MeasuredIncidents, usize), CliError> {
+    ) -> Result<EvidenceLedger, CliError> {
         let exposure = Hours::new(self.exposure_hours)?;
-        Ok(MeasuredIncidents::from_records(
-            classification,
-            &self.records,
-            exposure,
-        ))
+        Ok(classification.evidence(&self.records, exposure))
     }
 }
 
@@ -91,9 +88,9 @@ mod tests {
         let back: RecordsFile = read_artefact(&path).unwrap();
         assert_eq!(file, back);
         let classification = paper_classification().unwrap();
-        let (measured, non_incidents) = back.measured(&classification).unwrap();
-        assert_eq!(measured.count(&"I2".into()), 1);
-        assert_eq!(non_incidents, 0);
+        let evidence = back.evidence(&classification).unwrap();
+        assert_eq!(evidence.count("I2").observations(), 1);
+        assert_eq!(evidence.unclassified().observations(), 0);
     }
 
     #[test]

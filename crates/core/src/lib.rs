@@ -23,9 +23,11 @@
 //!    with a quantitative integrity attribute, rendered exactly like the
 //!    paper's *SG-I2*, together with a completeness certificate tying the
 //!    goal set to the MECE leaves.
-//! 5. **[`verification`]** — measured incident counts over fleet exposure
-//!    turn into statistically sound verdicts per safety goal and per
-//!    consequence class (exact Poisson upper bounds from `qrn-stats`).
+//! 5. **[`verification`]** — an evidence ledger (incident masses over
+//!    fleet exposure) turns into statistically sound verdicts per safety
+//!    goal and per consequence class (exact Poisson upper bounds from
+//!    `qrn-stats`), through the one Eq. (1) kernel the fleet burn-down
+//!    shares.
 //!
 //! # Quickstart
 //!

@@ -216,8 +216,14 @@ pub fn render_markdown(
 mod tests {
     use super::*;
     use crate::examples::{paper_allocation, paper_classification, paper_norm};
-    use crate::verification::{verify, MeasuredIncidents};
-    use qrn_units::Hours;
+    use crate::verification::verify;
+    use qrn_stats::evidence::EvidenceLedger;
+
+    fn clean(hours: f64) -> EvidenceLedger {
+        let mut ledger = EvidenceLedger::new();
+        ledger.add_exposure(None, hours);
+        ledger
+    }
 
     fn artefacts() -> (QuantitativeRiskNorm, IncidentClassification, Allocation) {
         let norm = paper_norm().unwrap();
@@ -251,8 +257,7 @@ mod tests {
     #[test]
     fn verified_document_includes_verdicts_and_argument() {
         let (norm, classification, allocation) = artefacts();
-        let measured = MeasuredIncidents::new(Default::default(), Hours::new(1e12).unwrap());
-        let report = verify(&norm, &allocation, &measured, 0.95).unwrap();
+        let report = verify(&norm, &allocation, &clean(1e12), 0.95).unwrap();
         let doc =
             render_markdown("item", &norm, &classification, &allocation, Some(&report)).unwrap();
         for needle in [
@@ -272,8 +277,7 @@ mod tests {
     #[test]
     fn inconclusive_document_includes_the_plan() {
         let (norm, classification, allocation) = artefacts();
-        let measured = MeasuredIncidents::new(Default::default(), Hours::new(10.0).unwrap());
-        let report = verify(&norm, &allocation, &measured, 0.95).unwrap();
+        let report = verify(&norm, &allocation, &clean(10.0), 0.95).unwrap();
         let doc =
             render_markdown("item", &norm, &classification, &allocation, Some(&report)).unwrap();
         assert!(doc.contains("Demonstration plan"));

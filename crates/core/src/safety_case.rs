@@ -244,9 +244,9 @@ impl fmt::Display for SafetyCase {
 mod tests {
     use super::*;
     use crate::examples::{paper_allocation, paper_classification, paper_norm};
-    use crate::verification::{verify, MeasuredIncidents};
-    use qrn_units::Hours;
-    use std::collections::BTreeMap;
+    use crate::verification::verify;
+    use qrn_stats::evidence::EvidenceLedger;
+    use qrn_stats::poisson::WeightedCount;
 
     fn artefacts() -> (QuantitativeRiskNorm, IncidentClassification, Allocation) {
         let norm = paper_norm().unwrap();
@@ -255,32 +255,38 @@ mod tests {
         (norm, classification, allocation)
     }
 
-    fn case_with(measured: MeasuredIncidents) -> SafetyCase {
+    /// Unit-weight evidence: `counts` over `hours`, global row only.
+    fn counted(counts: &[(&str, u64)], hours: f64) -> EvidenceLedger {
+        let mut ledger = EvidenceLedger::new();
+        ledger.add_exposure(None, hours);
+        for &(kind, n) in counts {
+            ledger.add_count(None, kind, &WeightedCount::unit(n));
+        }
+        ledger
+    }
+
+    fn case_with(evidence: EvidenceLedger) -> SafetyCase {
         let (norm, classification, allocation) = artefacts();
-        let report = verify(&norm, &allocation, &measured, 0.95).unwrap();
+        let report = verify(&norm, &allocation, &evidence, 0.95).unwrap();
         SafetyCase::assemble("example ADS", &norm, &classification, &allocation, &report).unwrap()
     }
 
     #[test]
     fn clean_long_campaign_supports_the_top_claim() {
-        let measured = MeasuredIncidents::new(Default::default(), Hours::new(1e13).unwrap());
-        let case = case_with(measured);
+        let case = case_with(counted(&[], 1e13));
         assert_eq!(case.status(), ClaimStatus::Supported);
         assert!(case.certificate.holds());
     }
 
     #[test]
     fn short_campaign_is_insufficient() {
-        let measured = MeasuredIncidents::new(Default::default(), Hours::new(10.0).unwrap());
-        let case = case_with(measured);
+        let case = case_with(counted(&[], 10.0));
         assert_eq!(case.status(), ClaimStatus::Insufficient);
     }
 
     #[test]
     fn violations_undermine_the_top_claim() {
-        let counts: BTreeMap<_, u64> = [("I3".into(), 500u64)].into();
-        let measured = MeasuredIncidents::new(counts, Hours::new(1000.0).unwrap());
-        let case = case_with(measured);
+        let case = case_with(counted(&[("I3", 500)], 1000.0));
         assert_eq!(case.status(), ClaimStatus::Undermined);
         // The undermined path is visible: the vS3 class claim is undermined.
         let vs3 = case.top.children.iter().find(|c| c.id == "G.vS3").unwrap();
@@ -289,8 +295,7 @@ mod tests {
 
     #[test]
     fn argument_has_one_subclaim_per_class_plus_completeness() {
-        let measured = MeasuredIncidents::new(Default::default(), Hours::new(1e12).unwrap());
-        let case = case_with(measured);
+        let case = case_with(counted(&[], 1e12));
         let (norm, ..) = artefacts();
         assert_eq!(case.top.children.len(), norm.len() + 1);
         assert!(case.size() > norm.len() + 2);
@@ -298,8 +303,7 @@ mod tests {
 
     #[test]
     fn class_claims_nest_their_contributing_goals() {
-        let measured = MeasuredIncidents::new(Default::default(), Hours::new(1e12).unwrap());
-        let case = case_with(measured);
+        let case = case_with(counted(&[], 1e12));
         let vq1 = case.top.children.iter().find(|c| c.id == "G.vQ1").unwrap();
         // I1 contributes to vQ1, so its goal claim nests here.
         assert!(vq1.children.iter().any(|c| c.id == "G.SG-I1"));
@@ -318,8 +322,7 @@ mod tests {
 
     #[test]
     fn display_renders_the_tree() {
-        let measured = MeasuredIncidents::new(Default::default(), Hours::new(1e12).unwrap());
-        let case = case_with(measured);
+        let case = case_with(counted(&[], 1e12));
         let text = case.to_string();
         assert!(text.contains("[G0]"));
         assert!(text.contains("[C1]"));
@@ -329,8 +332,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let measured = MeasuredIncidents::new(Default::default(), Hours::new(1e12).unwrap());
-        let case = case_with(measured);
+        let case = case_with(counted(&[], 1e12));
         let back: SafetyCase =
             serde_json::from_str(&serde_json::to_string(&case).unwrap()).unwrap();
         assert_eq!(case, back);

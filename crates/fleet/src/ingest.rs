@@ -23,7 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 
 use qrn_core::incident::{IncidentRecord, IncidentTypeId};
-use qrn_core::verification::MeasuredIncidents;
 use qrn_core::IncidentClassification;
 use qrn_stats::evidence::EvidenceLedger;
 use qrn_units::Hours;
@@ -200,16 +199,6 @@ impl FleetState {
     /// Skipped-line tallies.
     pub fn skipped(&self) -> SkipCounts {
         self.skipped
-    }
-
-    /// The state's counts and exposure as a [`MeasuredIncidents`], the
-    /// integer-count interface of `qrn_core::verification`. Prefer
-    /// [`FleetState::evidence`] with
-    /// [`verify_evidence`](qrn_core::verification::verify_evidence) when
-    /// merging with weighted campaign ledgers.
-    pub fn measured(&self) -> MeasuredIncidents {
-        let counts: BTreeMap<IncidentTypeId, u64> = self.counts().collect();
-        MeasuredIncidents::new(counts, self.exposure())
     }
 }
 
@@ -674,15 +663,17 @@ mod tests {
     }
 
     #[test]
-    fn measured_bridges_to_core_verification() {
+    fn evidence_bridges_to_core_verification() {
         let classification = paper_classification().unwrap();
+        let allocation = qrn_core::examples::paper_allocation(&classification).unwrap();
+        let norm = qrn_core::examples::paper_norm().unwrap();
         let log = sample_log(3, 100);
         let state = ingest_str(&log, &classification, 2).unwrap();
-        let measured = state.measured();
-        assert_eq!(measured.exposure(), state.exposure());
-        assert_eq!(
-            measured.total(),
-            state.counts().map(|(_, n)| n).sum::<u64>()
-        );
+        let report =
+            qrn_core::verification::verify(&norm, &allocation, state.evidence(), 0.95).unwrap();
+        for goal in &report.goals {
+            assert_eq!(goal.observed.exposure, state.exposure());
+            assert_eq!(goal.observed.count, state.count(&goal.incident));
+        }
     }
 }

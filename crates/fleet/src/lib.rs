@@ -19,8 +19,9 @@
 //! 3. [`burndown`] — joins the live state against an
 //!    [`Allocation`](qrn_core::allocation::Allocation)/
 //!    [`QuantitativeRiskNorm`](qrn_core::norm::QuantitativeRiskNorm) pair
-//!    and emits per-`I_k` and per-`v_j` verdicts via Wald's SPRT plus exact
-//!    Poisson bounds, with [`burndown::AlertLevel`] escalation
+//!    and emits per-`I_k` and per-`v_j` verdicts via Wald's SPRT plus the
+//!    exact Poisson bounds of the shared Eq. (1) kernel in
+//!    `qrn_core::verification`, with [`burndown::AlertLevel`] escalation
 //!    (Ok → Watch → Burned) and a serialisable [`burndown::FleetReport`].
 //! 4. [`telemetry`] — a synthetic telemetry generator driving `qrn-sim`
 //!    campaigns to produce realistic event logs for rehearsing the
@@ -35,18 +36,23 @@
 //!    `qrn evidence inspect` so look accounting is consistent wherever a
 //!    verdict is consulted.
 //!
-//! # A monitoring loop in six lines
+//! # A monitoring loop
 //!
 //! ```
-//! use qrn_fleet::{burndown::{burn_down, BurnDownConfig}, ingest::ingest_str, telemetry};
+//! use qrn_fleet::burndown::{burn_down_filtered, BurnDownConfig, ContextFilter};
+//! use qrn_fleet::{ingest::ingest_str, telemetry};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let classification = qrn_core::examples::paper_classification()?;
+//! let allocation = qrn_core::examples::paper_allocation(&classification)?;
+//! let norm = qrn_core::examples::paper_norm()?;
 //! let events = telemetry::TelemetryConfig::new(4)
 //!     .hours(qrn_units::Hours::new(200.0)?)
 //!     .generate()?;
 //! let log = qrn_fleet::event::to_jsonl(&events);
 //! let state = ingest_str(&log, &classification, 2)?;
-//! assert!(state.exposure().value() > 0.0);
+//! let config = BurnDownConfig::default();
+//! let report = burn_down_filtered(&norm, &allocation, &state, &config, &ContextFilter::all())?;
+//! assert_eq!(report.exposure_hours, state.exposure().value());
 //! # Ok(())
 //! # }
 //! ```
@@ -62,9 +68,7 @@ pub mod ingest;
 pub mod looks;
 pub mod telemetry;
 
-pub use burndown::{
-    burn_down, burn_down_filtered, AlertLevel, BurnDownConfig, ContextFilter, FleetReport,
-};
+pub use burndown::{burn_down_filtered, AlertLevel, BurnDownConfig, ContextFilter, FleetReport};
 pub use error::FleetError;
 pub use event::fastpath::{parse_line_hybrid, FastEvent, ParsedLine, ScratchParser};
 pub use event::{parse_jsonl, to_jsonl, FleetEvent, SkipCounts, SCHEMA_VERSION};

@@ -993,8 +993,7 @@ mod tests {
         let norm = qrn_core::examples::paper_norm().unwrap();
         let allocation = qrn_core::examples::paper_allocation(&classification).unwrap();
         let report =
-            qrn_core::verification::verify_evidence(&norm, &allocation, &split.evidence, 0.95)
-                .unwrap();
+            qrn_core::verification::verify(&norm, &allocation, &split.evidence, 0.95).unwrap();
         assert!(report.goals.iter().all(|g| g.weighted.is_none()));
     }
 
@@ -1027,7 +1026,7 @@ mod tests {
             let reference = crude_reference();
             let split = splitting_campaign(seed, 2, 400.0);
             for leaf in classification.leaves() {
-                let crude_count = reference.measured.count(leaf.id());
+                let crude_count = reference.evidence.count(leaf.id().as_str()).observations();
                 if crude_count < 5 {
                     continue;
                 }

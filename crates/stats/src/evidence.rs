@@ -242,6 +242,13 @@ impl EvidenceLedger {
             .map_or_else(WeightedCount::new, |row| row.count(kind))
     }
 
+    /// Number of observations in the global row over every incident kind
+    /// (the classified incident count, for unit-weight evidence).
+    pub fn incident_observations(&self) -> u64 {
+        self.context(GLOBAL_CONTEXT)
+            .map_or(0, |row| row.counts().map(|(_, c)| c.observations()).sum())
+    }
+
     /// The weighted mass recorded for `kind` in a named context.
     pub fn count_in(&self, context: &str, kind: &str) -> WeightedCount {
         self.context(context)

@@ -10,7 +10,7 @@ use std::error::Error;
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
 use qrn::core::incident::IncidentRecord;
 use qrn::core::object::{Involvement, ObjectType};
-use qrn::fleet::burndown::{burn_down, AlertLevel, BurnDownConfig};
+use qrn::fleet::burndown::{burn_down_filtered, AlertLevel, BurnDownConfig, ContextFilter};
 use qrn::fleet::event::to_jsonl;
 use qrn::fleet::ingest::ingest_str;
 use qrn::fleet::telemetry::TelemetryConfig;
@@ -60,7 +60,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 4. Burn down the budgets: Wald's SPRT plus exact Poisson bounds per
     //    incident type, conservative share-weighted propagation per
     //    consequence class.
-    let report = burn_down(&norm, &allocation, &state, &BurnDownConfig::default())?;
+    let report = burn_down_filtered(
+        &norm,
+        &allocation,
+        &state,
+        &BurnDownConfig::default(),
+        &ContextFilter::all(),
+    )?;
     print!("{report}");
 
     // The injected collisions land in I3 (severe VRU collision), whose

@@ -77,14 +77,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // --- Verification: measured rates against goals and norm ----------
-    let (measured, non_incidents) = result.measured(&classification);
+    let evidence = result.evidence(&classification);
     println!(
         "\nClassified {} incidents ({} uneventful closest approaches) over {}",
-        measured.total(),
-        non_incidents,
-        measured.exposure()
+        evidence.incident_observations(),
+        evidence.unclassified().observations(),
+        result.exposure()
     );
-    let report = verify(&norm, &allocation, &measured, 0.95)?;
+    let report = verify(&norm, &allocation, &evidence, 0.95)?;
     let count = |v: Verdict| report.goals.iter().filter(|g| g.verdict == v).count();
     println!(
         "Safety-goal verdicts at 95%: {} demonstrated, {} inconclusive, {} violated",

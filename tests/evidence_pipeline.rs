@@ -4,8 +4,10 @@
 //! checked-in experiment artefacts.
 
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
-use qrn::core::verification::{verify, verify_evidence};
-use qrn::fleet::burndown::{burn_down_evidence, BurnDownConfig, REPORT_SCHEMA_VERSION};
+use qrn::core::verification::verify;
+use qrn::fleet::burndown::{
+    burn_down_evidence_filtered, BurnDownConfig, ContextFilter, REPORT_SCHEMA_VERSION,
+};
 use qrn::fleet::ingest::ingest_str;
 use qrn::fleet::telemetry::{Policy, Scenario, TelemetryConfig};
 use qrn::sim::monte_carlo::Campaign;
@@ -13,6 +15,7 @@ use qrn::sim::policy::{CautiousPolicy, ReactivePolicy};
 use qrn::sim::scenario::urban_scenario;
 use qrn::sim::SplittingConfig;
 use qrn::stats::evidence::EvidenceLedger;
+use qrn::stats::poisson::PoissonRate;
 use qrn::units::Hours;
 
 /// The combined design-time + operational burn-down artefact is a pure
@@ -54,7 +57,14 @@ fn combined_burn_down_artefact_is_byte_stable() {
             by_zone: true,
             ..BurnDownConfig::default()
         };
-        let report = burn_down_evidence(&norm, &allocation, &combined, &config).unwrap();
+        let report = burn_down_evidence_filtered(
+            &norm,
+            &allocation,
+            &combined,
+            &config,
+            &ContextFilter::all(),
+        )
+        .unwrap();
         serde_json::to_string_pretty(&report).unwrap()
     };
 
@@ -73,8 +83,8 @@ fn combined_burn_down_artefact_is_byte_stable() {
 }
 
 /// The unit-weight ledger path is exact: verifying a crude campaign via
-/// its evidence ledger must agree with the classic record-tally path on
-/// every verdict and bound.
+/// its evidence ledger must reproduce the exact Garwood bound of a plain
+/// tally of the classified records, goal by goal.
 #[test]
 fn crude_ledger_verification_matches_record_tally() {
     let norm = paper_norm().unwrap();
@@ -85,18 +95,22 @@ fn crude_ledger_verification_matches_record_tally() {
         .seed(3)
         .run()
         .unwrap();
-    let (measured, _) = result.measured(&classification);
     let ledger = result.evidence(&classification);
-
-    let classic = verify(&norm, &allocation, &measured, 0.95).unwrap();
-    let via_ledger = verify_evidence(&norm, &allocation, &ledger, 0.95).unwrap();
-    assert_eq!(classic.goals.len(), via_ledger.goals.len());
-    for (a, b) in classic.goals.iter().zip(&via_ledger.goals) {
-        assert_eq!(a.incident, b.incident);
-        assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.observed, b.observed);
-        assert_eq!(a.upper_bound, b.upper_bound);
-        assert!(b.weighted.is_none(), "unit-weight evidence must stay exact");
+    let via_ledger = verify(&norm, &allocation, &ledger, 0.95).unwrap();
+    assert_eq!(via_ledger.goals.len(), allocation.budgets().count());
+    for goal in &via_ledger.goals {
+        let tally = result
+            .records
+            .iter()
+            .filter(|r| classification.classify(r).map(|t| t.id()) == Some(&goal.incident))
+            .count() as u64;
+        let direct = PoissonRate::new(tally, result.exposure());
+        assert_eq!(goal.observed, direct, "{}", goal.incident);
+        assert_eq!(goal.upper_bound, direct.upper_bound(0.95).unwrap());
+        assert!(
+            goal.weighted.is_none(),
+            "unit-weight evidence must stay exact"
+        );
     }
 }
 

@@ -11,7 +11,7 @@
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
 use qrn::core::incident::IncidentRecord;
 use qrn::core::object::{Involvement, ObjectType};
-use qrn::fleet::burndown::{burn_down, AlertLevel, BurnDownConfig};
+use qrn::fleet::burndown::{burn_down_filtered, AlertLevel, BurnDownConfig, ContextFilter};
 use qrn::fleet::event::{parse_jsonl, to_jsonl};
 use qrn::fleet::ingest::ingest_str;
 use qrn::fleet::telemetry::TelemetryConfig;
@@ -42,7 +42,14 @@ fn report_bytes_identical_for_one_and_eight_shards() {
     let mut jsons = Vec::new();
     for shards in [1usize, 8] {
         let state = ingest_str(&log, &classification, shards).unwrap();
-        let report = burn_down(&norm, &allocation, &state, &BurnDownConfig::default()).unwrap();
+        let report = burn_down_filtered(
+            &norm,
+            &allocation,
+            &state,
+            &BurnDownConfig::default(),
+            &ContextFilter::all(),
+        )
+        .unwrap();
         jsons.push(report.to_canonical_json());
     }
     assert_eq!(jsons[0], jsons[1]);
@@ -58,7 +65,14 @@ fn over_budget_incident_type_is_burned_with_accept_alternative() {
     let classification = paper_classification().unwrap();
     let allocation = paper_allocation(&classification).unwrap();
     let state = ingest_str(&log, &classification, 4).unwrap();
-    let report = burn_down(&norm, &allocation, &state, &BurnDownConfig::default()).unwrap();
+    let report = burn_down_filtered(
+        &norm,
+        &allocation,
+        &state,
+        &BurnDownConfig::default(),
+        &ContextFilter::all(),
+    )
+    .unwrap();
 
     let i3 = report.goal(&"I3".into()).expect("I3 is allocated");
     assert_eq!(i3.sprt, SprtDecision::AcceptAlternative);
@@ -108,7 +122,14 @@ fn hundred_thousand_hour_fleet_burns_down() {
     let allocation = paper_allocation(&classification).unwrap();
     let state = ingest_str(&log, &classification, 8).unwrap();
     assert!((state.exposure().value() - 100_000.0).abs() < 1e-6 * 100_000.0);
-    let report = burn_down(&norm, &allocation, &state, &BurnDownConfig::default()).unwrap();
+    let report = burn_down_filtered(
+        &norm,
+        &allocation,
+        &state,
+        &BurnDownConfig::default(),
+        &ContextFilter::all(),
+    )
+    .unwrap();
     assert_eq!(
         report.goal(&"I3".into()).unwrap().sprt,
         SprtDecision::AcceptAlternative

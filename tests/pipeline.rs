@@ -3,11 +3,12 @@
 
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
 use qrn::core::safety_goal::{derive_with_certificate, goal_for};
-use qrn::core::verification::{verify, MeasuredIncidents, Verdict};
+use qrn::core::verification::{verify, Verdict};
 use qrn::sim::faults::{Degradation, FaultPlan};
 use qrn::sim::monte_carlo::Campaign;
 use qrn::sim::policy::{CautiousPolicy, ReactivePolicy};
 use qrn::sim::scenario::{mixed_scenario, urban_scenario};
+use qrn::stats::evidence::EvidenceLedger;
 use qrn::units::{Hours, Probability};
 
 #[test]
@@ -41,16 +42,16 @@ fn simulated_fleet_feeds_verification() {
         .seed(1)
         .run()
         .unwrap();
-    let (measured, non_incidents) = result.measured(&classification);
+    let evidence = result.evidence(&classification);
 
     // Every raw record is either classified or a benign closest approach.
     assert_eq!(
-        measured.total() as usize + non_incidents,
+        (evidence.incident_observations() + evidence.unclassified().observations()) as usize,
         result.records.len()
     );
 
     // Verification runs and produces a verdict for every goal and class.
-    let report = verify(&norm, &allocation, &measured, 0.95).unwrap();
+    let report = verify(&norm, &allocation, &evidence, 0.95).unwrap();
     assert_eq!(report.goals.len(), classification.leaves().len());
     assert_eq!(report.classes.len(), norm.len());
 }
@@ -79,7 +80,7 @@ fn fault_injection_worsens_measured_rates() {
             .faults(faults)
             .run()
             .unwrap();
-        result.measured(&classification).0
+        result.evidence(&classification)
     };
     let healthy = run(FaultPlan::none(), 5);
     let degraded = run(
@@ -96,7 +97,7 @@ fn fault_injection_worsens_measured_rates() {
         5,
     );
     // Collisions in the severe VRU band go up under degradation.
-    let severe = |m: &MeasuredIncidents| m.count(&"I3".into()) + m.count(&"I4".into());
+    let severe = |e: &EvidenceLedger| e.count("I3").observations() + e.count("I4").observations();
     assert!(
         severe(&degraded) > severe(&healthy),
         "degraded {} vs healthy {}",
@@ -114,16 +115,14 @@ fn pooling_measurements_tightens_bounds() {
             .seed(seed)
             .run()
             .unwrap()
-            .measured(&classification)
-            .0
+            .evidence(&classification)
     };
     let a = run(10);
     let b = run(11);
     let pooled = a.clone().merged(&b);
-    assert_eq!(pooled.exposure(), Hours::new(200.0).unwrap());
+    assert_eq!(pooled.exposure(), 200.0);
     // The pooled upper bound on a rare type is tighter than either part's.
-    let id = "I4".into();
-    let bound = |m: &MeasuredIncidents| m.observation(&id).upper_bound(0.95).unwrap();
+    let bound = |e: &EvidenceLedger| e.rate("I4").upper_bound(0.95).unwrap();
     assert!(bound(&pooled) <= bound(&a));
     assert!(bound(&pooled) <= bound(&b));
 }
@@ -135,8 +134,12 @@ fn verdicts_move_in_the_right_direction_with_exposure() {
     let allocation = paper_allocation(&classification).unwrap();
     // Zero incidents: with little exposure everything is inconclusive,
     // with astronomic exposure everything is demonstrated.
-    let short = MeasuredIncidents::new(Default::default(), Hours::new(1.0).unwrap());
-    let long = MeasuredIncidents::new(Default::default(), Hours::new(1e13).unwrap());
+    let clean = |hours: f64| {
+        let mut evidence = EvidenceLedger::new();
+        evidence.add_exposure(None, hours);
+        evidence
+    };
+    let (short, long) = (clean(1.0), clean(1e13));
     let short_report = verify(&norm, &allocation, &short, 0.95).unwrap();
     let long_report = verify(&norm, &allocation, &long, 0.95).unwrap();
     assert!(short_report

@@ -9,12 +9,13 @@ use qrn::core::classification::IncidentClassification;
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
 use qrn::core::norm::QuantitativeRiskNorm;
 use qrn::core::safety_goal::{derive_with_certificate, CompletenessCertificate, SafetyGoal};
-use qrn::core::verification::{verify, MeasuredIncidents, VerificationReport};
+use qrn::core::verification::{verify, VerificationReport};
 use qrn::odd::attribute::{Constraint, Dimension};
 use qrn::odd::spec::OddSpec;
 use qrn::sim::monte_carlo::Campaign;
 use qrn::sim::policy::CautiousPolicy;
 use qrn::sim::scenario::urban_scenario;
+use qrn::stats::evidence::EvidenceLedger;
 use qrn::units::Hours;
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -25,7 +26,7 @@ struct SafetyCaseBundle {
     allocation: Allocation,
     goals: Vec<SafetyGoal>,
     certificate: CompletenessCertificate,
-    measured: MeasuredIncidents,
+    evidence: EvidenceLedger,
     report: VerificationReport,
 }
 
@@ -49,8 +50,8 @@ fn bundle() -> SafetyCaseBundle {
         .seed(3)
         .run()
         .unwrap();
-    let (measured, _) = result.measured(&classification);
-    let report = verify(&norm, &allocation, &measured, 0.95).unwrap();
+    let evidence = result.evidence(&classification);
+    let report = verify(&norm, &allocation, &evidence, 0.95).unwrap();
     SafetyCaseBundle {
         odd,
         norm,
@@ -58,7 +59,7 @@ fn bundle() -> SafetyCaseBundle {
         allocation,
         goals,
         certificate,
-        measured,
+        evidence,
         report,
     }
 }
@@ -81,7 +82,7 @@ fn deserialized_bundle_is_still_checkable() {
     // stored conclusions — the bundle is evidence, not just data.
     assert!(back.allocation.check(&back.norm).unwrap().is_fulfilled());
     assert!(back.certificate.holds());
-    let recheck = verify(&back.norm, &back.allocation, &back.measured, 0.95).unwrap();
+    let recheck = verify(&back.norm, &back.allocation, &back.evidence, 0.95).unwrap();
     assert_eq!(recheck, back.report);
     let mece = back.classification.verify_mece();
     assert!(mece.is_mece());

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
-use qrn::fleet::burndown::{burn_down, BurnDownConfig, FleetReport};
+use qrn::fleet::burndown::{burn_down_filtered, BurnDownConfig, ContextFilter, FleetReport};
 use qrn::fleet::ingest::{ingest_str, FleetState};
 use qrn::fleet::telemetry::TelemetryConfig;
 use qrn::serve::{ServeConfig, Server};
@@ -132,8 +132,14 @@ fn concurrent_ingest_matches_offline_pipeline_byte_for_byte() {
         let norm = paper_norm().unwrap();
         let classification = paper_classification().unwrap();
         let allocation = paper_allocation(&classification).unwrap();
-        let offline_report =
-            burn_down(&norm, &allocation, &offline, &BurnDownConfig::default()).unwrap();
+        let offline_report = burn_down_filtered(
+            &norm,
+            &allocation,
+            &offline,
+            &BurnDownConfig::default(),
+            &ContextFilter::all(),
+        )
+        .unwrap();
         let (status, served) = get(addr, "/v1/burndown");
         assert_eq!(status, 200);
         assert_eq!(

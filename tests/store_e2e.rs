@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
-use qrn::fleet::burndown::{burn_down, BurnDownConfig, FleetReport};
+use qrn::fleet::burndown::{burn_down_filtered, BurnDownConfig, ContextFilter, FleetReport};
 use qrn::fleet::ingest::{ingest_str, FleetState};
 use qrn::fleet::telemetry::TelemetryConfig;
 use qrn::serve::{ServeConfig, Server};
@@ -106,11 +106,12 @@ fn offline_report(batches: &[String]) -> String {
     let norm = paper_norm().unwrap();
     let classification = paper_classification().unwrap();
     let allocation = paper_allocation(&classification).unwrap();
-    burn_down(
+    burn_down_filtered(
         &norm,
         &allocation,
         &offline_state(batches),
         &BurnDownConfig::default(),
+        &ContextFilter::all(),
     )
     .unwrap()
     .to_canonical_json()

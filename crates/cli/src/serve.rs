@@ -25,16 +25,10 @@ use qrn_core::allocation::Allocation;
 use qrn_core::norm::QuantitativeRiskNorm;
 use qrn_core::IncidentClassification;
 use qrn_serve::{ServeConfig, Server};
-use qrn_stats::evidence::EvidenceLedger;
 
-use crate::commands::{flag, flag_values, has_flag, parse_f64};
+use crate::commands::{burndown_config_from, evidence_from, flag, flag_values, parse_int};
 use crate::io::read_artefact;
 use crate::{CliError, CommandOutcome};
-
-fn parse_num<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, CliError> {
-    text.parse()
-        .map_err(|_| CliError(format!("{what} must be a number, got {text:?}")))
-}
 
 /// Runs `serve <norm> <classification> <allocation> [flags]`.
 ///
@@ -77,71 +71,51 @@ pub fn run(
         config.bind = text.to_string();
     }
     if let Some(text) = flag(rest, "--port") {
-        config.port = parse_num(text, "--port")?;
+        config.port = parse_int(text, "--port")?;
     }
     if let Some(text) = flag(rest, "--workers") {
-        config.workers = parse_num(text, "--workers")?;
+        config.workers = parse_int(text, "--workers")?;
     }
     if let Some(text) = flag(rest, "--queue-depth") {
-        config.queue_depth = parse_num(text, "--queue-depth")?;
+        config.queue_depth = parse_int(text, "--queue-depth")?;
     }
     if let Some(text) = flag(rest, "--max-body-bytes") {
-        config.max_body_bytes = parse_num(text, "--max-body-bytes")?;
+        config.max_body_bytes = parse_int(text, "--max-body-bytes")?;
     }
     if let Some(text) = flag(rest, "--io-timeout-secs") {
-        config.io_timeout = Duration::from_secs(parse_num(text, "--io-timeout-secs")?);
+        config.io_timeout = Duration::from_secs(parse_int(text, "--io-timeout-secs")?);
     }
     if let Some(text) = flag(rest, "--shards") {
-        config.shards = parse_num(text, "--shards")?;
+        config.shards = parse_int(text, "--shards")?;
     }
     if let Some(text) = flag(rest, "--state-shards") {
-        config.state_shards = parse_num(text, "--state-shards")?;
+        config.state_shards = parse_int(text, "--state-shards")?;
     }
     if let Some(text) = flag(rest, "--checkpoint") {
         config.checkpoint = Some(PathBuf::from(text));
     }
     if let Some(text) = flag(rest, "--checkpoint-every") {
-        config.checkpoint_every = parse_num(text, "--checkpoint-every")?;
+        config.checkpoint_every = parse_int(text, "--checkpoint-every")?;
     }
     if let Some(text) = flag(rest, "--store") {
         config.store = Some(PathBuf::from(text));
     }
     if let Some(text) = flag(rest, "--store-snapshot-every") {
-        config.store_snapshot_every = parse_num(text, "--store-snapshot-every")?;
+        config.store_snapshot_every = parse_int(text, "--store-snapshot-every")?;
     }
     if let Some(text) = flag(rest, "--store-roll-bytes") {
-        config.store_roll_bytes = parse_num(text, "--store-roll-bytes")?;
+        config.store_roll_bytes = parse_int(text, "--store-roll-bytes")?;
     }
     if let Some(text) = flag(rest, "--store-compact-after") {
-        config.store_compact_after = parse_num(text, "--store-compact-after")?;
+        config.store_compact_after = parse_int(text, "--store-compact-after")?;
     }
     if let Some(text) = flag(rest, "--store-group-commit") {
-        config.store_group_commit = parse_num(text, "--store-group-commit")?;
+        config.store_group_commit = parse_int(text, "--store-group-commit")?;
     }
-    for path in flag_values(rest, "--evidence") {
-        let ledger: EvidenceLedger = read_artefact(Path::new(path))?;
+    for ledger in evidence_from(rest)? {
         config.push_evidence(ledger);
     }
-    if let Some(text) = flag(rest, "--confidence") {
-        config.burndown.confidence = parse_f64(text, "--confidence")?;
-    }
-    if let Some(text) = flag(rest, "--alpha") {
-        config.burndown.alpha = parse_f64(text, "--alpha")?;
-    }
-    if let Some(text) = flag(rest, "--beta") {
-        config.burndown.beta = parse_f64(text, "--beta")?;
-    }
-    if let Some(text) = flag(rest, "--sprt-fraction") {
-        config.burndown.sprt_fraction = parse_f64(text, "--sprt-fraction")?;
-    }
-    if let Some(text) = flag(rest, "--watch-ratio") {
-        config.burndown.watch_ratio = parse_f64(text, "--watch-ratio")?;
-    }
-    config.burndown.by_zone = has_flag(rest, "--by-context") || has_flag(rest, "--by-zone");
-    // `--sequential` switches every item's verdict onto the anytime-valid
-    // confidence sequence + budget e-process and enables the
-    // `qrn_goal_e_value` / `qrn_goal_seq_upper` metric families.
-    config.burndown.sequential = has_flag(rest, "--sequential");
+    config.burndown = burndown_config_from(rest)?;
 
     let checkpoint = config.checkpoint.clone();
     let store = config.store.clone();

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use qrn_core::IncidentClassification;
 use qrn_store::{Store, StoreConfig, StoreReader};
 
-use crate::commands::{flag, required_flag};
+use crate::commands::{flag, parse_int, required_flag};
 use crate::io::{read_artefact, write_artefact};
 use crate::{CliError, CommandOutcome};
 
@@ -52,9 +52,7 @@ fn open_reader(
     let classification: IncidentClassification = read_artefact(classification_path)?;
     let dir = PathBuf::from(required_flag(rest, "--dir")?);
     let shards = match flag(rest, "--shards") {
-        Some(text) => text
-            .parse()
-            .map_err(|_| CliError(format!("--shards must be an integer, got {text:?}")))?,
+        Some(text) => parse_int(text, "--shards")?,
         None => std::thread::available_parallelism()
             .map(usize::from)
             .unwrap_or(1),

@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::burndown::AlertLevel;
+use crate::burndown::{AlertLevel, FleetReport};
 use crate::checkpoint;
 use crate::error::FleetError;
 
@@ -204,6 +204,21 @@ impl LookBook {
                 at_unix_millis: now_unix_millis,
                 to: alert,
             });
+        }
+    }
+
+    /// Counts `report` as one more look: spends a look per goal, records
+    /// the alert edges of its global goal rows (context rows are
+    /// refinements, not verdicts) and stamps the completed-look counts
+    /// into every goal row, context rows included.
+    pub fn take_look(&mut self, report: &mut FleetReport, now_unix_millis: u64) {
+        for goal in &report.goals {
+            self.spend_look(goal.incident.as_str());
+            self.observe_alert(goal.incident.as_str(), goal.alert, now_unix_millis);
+        }
+        let zone_goals = report.zones.iter_mut().flat_map(|z| z.goals.iter_mut());
+        for goal in report.goals.iter_mut().chain(zone_goals) {
+            goal.looks = self.looks(goal.incident.as_str()).max(1);
         }
     }
 

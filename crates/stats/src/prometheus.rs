@@ -11,7 +11,7 @@
 //! a family contiguous, metric and label names restricted to the legal
 //! character set.
 //!
-//! [`render_ledger`] is the shared ledger→metrics mapping: exposure,
+//! [`render_ledgers`] is the shared ledger→metrics mapping: exposure,
 //! weighted incident mass, raw observation counts and unclassified mass,
 //! globally and per named context (exposed as a `zone` label). Keeping
 //! it here — next to the [`EvidenceLedger`] itself — means every server
@@ -112,30 +112,7 @@ impl TextFamilies {
     /// Panics when no family is open, when `name` does not belong to the
     /// open family, or on an illegal label name.
     pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut Self {
-        let family = self.current.as_deref().expect("no open metric family");
-        assert!(
-            name == family
-                || (name
-                    .strip_prefix(family)
-                    .is_some_and(|suffix| matches!(suffix, "_bucket" | "_sum" | "_count"))),
-            "sample {name:?} does not belong to open family {family:?}"
-        );
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (label, v)) in labels.iter().enumerate() {
-                assert!(
-                    is_valid_metric_name(label) && !label.contains(':'),
-                    "invalid label name {label:?}"
-                );
-                if i > 0 {
-                    self.out.push(',');
-                }
-                write!(self.out, "{label}=\"{}\"", escape_label_value(v))
-                    .expect("writing to String");
-            }
-            self.out.push('}');
-        }
+        self.series(name, labels);
         // Prometheus floats: plain decimal or scientific both parse;
         // Rust's shortest-roundtrip Display is valid. Non-finite values
         // render as +Inf/-Inf/NaN per the format.
@@ -151,10 +128,19 @@ impl TextFamilies {
         self
     }
 
-    /// Appends an integer-valued sample of the open family.
+    /// Appends an integer-valued sample of the open family (panics as
+    /// [`TextFamilies::sample`]).
     pub fn sample_u64(&mut self, name: &str, labels: &[(&str, &str)], value: u64) -> &mut Self {
         // u64 counts in this workspace stay far below 2^53; render
         // through the integer path so no precision question arises.
+        self.series(name, labels);
+        writeln!(self.out, " {value}").expect("writing to String");
+        self
+    }
+
+    /// Writes a sample's series name and label set, checking that it
+    /// belongs to the open family.
+    fn series(&mut self, name: &str, labels: &[(&str, &str)]) {
         let family = self.current.as_deref().expect("no open metric family");
         assert!(
             name == family
@@ -179,8 +165,6 @@ impl TextFamilies {
             }
             self.out.push('}');
         }
-        writeln!(self.out, " {value}").expect("writing to String");
-        self
     }
 
     /// Finishes the exposition and returns the text body
@@ -190,8 +174,9 @@ impl TextFamilies {
     }
 }
 
-/// Renders an [`EvidenceLedger`] as gauge families under `prefix`
-/// (conventionally `qrn_evidence`):
+/// Renders [`EvidenceLedger`]s — one per served norm/allocation *item* —
+/// as gauge families under `prefix` (conventionally `qrn_evidence`), every
+/// series labelled with its `item`:
 ///
 /// * `<prefix>_exposure_hours` — global, plus one series per named
 ///   context with a `zone` label (for multi-band logs the label value is
@@ -204,115 +189,79 @@ impl TextFamilies {
 ///   (equal to mass for unit-weight evidence), global and per zone;
 /// * `<prefix>_unclassified_mass` — weighted mass no incident kind
 ///   claimed.
-pub fn render_ledger(out: &mut TextFamilies, prefix: &str, ledger: &EvidenceLedger) {
-    ledger_families(out, prefix, &[(None, ledger)]);
-}
-
-/// Renders several [`EvidenceLedger`]s — one per served norm/allocation
-/// *item* — as the same gauge families [`render_ledger`] emits, with an
-/// `item` label distinguishing the series. All samples of each family
-/// stay contiguous across items, as the exposition format requires, which
-/// is why a multi-item exporter must call this once rather than
-/// [`render_ledger`] per item.
+///
+/// All samples of each family stay contiguous across items, as the
+/// exposition format requires, which is why a multi-item exporter calls
+/// this once with every item.
 pub fn render_ledgers(out: &mut TextFamilies, prefix: &str, items: &[(&str, &EvidenceLedger)]) {
-    let rows: Vec<(Option<&str>, &EvidenceLedger)> = items
-        .iter()
-        .map(|(item, ledger)| (Some(*item), *ledger))
-        .collect();
-    ledger_families(out, prefix, &rows);
-}
-
-/// The shared family layout behind [`render_ledger`] (no `item` label)
-/// and [`render_ledgers`] (one `item` label per served item).
-fn ledger_families(
-    out: &mut TextFamilies,
-    prefix: &str,
-    items: &[(Option<&str>, &EvidenceLedger)],
-) {
-    let name = |suffix: &str| format!("{prefix}_{suffix}");
-    let labels =
-        |item: Option<&str>, extra: &[(&'static str, &str)]| -> Vec<(&'static str, String)> {
-            let mut out: Vec<(&'static str, String)> = Vec::with_capacity(extra.len() + 1);
-            if let Some(item) = item {
-                out.push(("item", item.to_string()));
-            }
-            for (k, v) in extra {
-                out.push((*k, (*v).to_string()));
-            }
-            out
-        };
-    fn as_refs<'a>(owned: &'a [(&'static str, String)]) -> Vec<(&'a str, &'a str)> {
-        owned.iter().map(|(k, v)| (*k, v.as_str())).collect()
-    }
-
-    let exposure = name("exposure_hours");
+    let exposure = format!("{prefix}_exposure_hours");
     out.family(
         &exposure,
         "Exposure hours accumulated in the evidence ledger",
         MetricKind::Gauge,
     );
-    for (item, ledger) in items {
-        let owned = labels(*item, &[]);
-        out.sample(&exposure, &as_refs(&owned), ledger.exposure());
+    for &(item, ledger) in items {
+        out.sample(&exposure, &[("item", item)], ledger.exposure());
         for (zone, row) in ledger.named_contexts() {
-            let owned = labels(*item, &[("zone", zone)]);
-            out.sample(&exposure, &as_refs(&owned), row.exposure_hours());
+            out.sample(
+                &exposure,
+                &[("item", item), ("zone", zone)],
+                row.exposure_hours(),
+            );
         }
     }
 
-    let mass = name("incident_mass");
+    let mass = format!("{prefix}_incident_mass");
     out.family(
         &mass,
         "Weighted incident mass per incident kind",
         MetricKind::Gauge,
     );
-    for (item, ledger) in items {
+    for &(item, ledger) in items {
         for kind in ledger.kinds() {
-            let owned = labels(*item, &[("kind", kind)]);
-            out.sample(&mass, &as_refs(&owned), ledger.count(kind).total());
+            out.sample(
+                &mass,
+                &[("item", item), ("kind", kind)],
+                ledger.count(kind).total(),
+            );
         }
         for (zone, row) in ledger.named_contexts() {
             for (kind, count) in row.counts() {
-                let owned = labels(*item, &[("kind", kind), ("zone", zone)]);
-                out.sample(&mass, &as_refs(&owned), count.total());
+                let labels = [("item", item), ("kind", kind), ("zone", zone)];
+                out.sample(&mass, &labels, count.total());
             }
         }
     }
 
-    let observations = name("incident_observations");
+    let observations = format!("{prefix}_incident_observations");
     out.family(
         &observations,
         "Raw incident observations per incident kind",
         MetricKind::Gauge,
     );
-    for (item, ledger) in items {
+    for &(item, ledger) in items {
         for kind in ledger.kinds() {
-            let owned = labels(*item, &[("kind", kind)]);
-            out.sample_u64(
-                &observations,
-                &as_refs(&owned),
-                ledger.count(kind).observations(),
-            );
+            let labels = [("item", item), ("kind", kind)];
+            out.sample_u64(&observations, &labels, ledger.count(kind).observations());
         }
         for (zone, row) in ledger.named_contexts() {
             for (kind, count) in row.counts() {
-                let owned = labels(*item, &[("kind", kind), ("zone", zone)]);
-                out.sample_u64(&observations, &as_refs(&owned), count.observations());
+                let labels = [("item", item), ("kind", kind), ("zone", zone)];
+                out.sample_u64(&observations, &labels, count.observations());
             }
         }
     }
 
-    let unclassified = name("unclassified_mass");
+    let unclassified = format!("{prefix}_unclassified_mass");
     out.family(
         &unclassified,
         "Weighted mass of observations no incident kind claimed",
         MetricKind::Gauge,
     );
-    for (item, ledger) in items {
-        let owned = labels(*item, &[]);
+    for &(item, ledger) in items {
         out.sample(
             &unclassified,
-            &as_refs(&owned),
+            &[("item", item)],
             ledger.unclassified().total(),
         );
     }
@@ -545,14 +494,18 @@ mod tests {
         ledger.add_unclassified(None, 2.0);
 
         let mut text = TextFamilies::new();
-        render_ledger(&mut text, "qrn_evidence", &ledger);
+        render_ledgers(&mut text, "qrn_evidence", &[("ads", &ledger)]);
         let body = text.finish();
         validate_exposition(&body).unwrap();
-        assert!(body.contains("qrn_evidence_exposure_hours 1000"));
-        assert!(body.contains("qrn_evidence_exposure_hours{zone=\"urban\"} 250"));
-        assert!(body.contains("qrn_evidence_incident_mass{kind=\"I3\"} 0.125"));
-        assert!(body.contains("qrn_evidence_incident_observations{kind=\"I2\"} 1"));
-        assert!(body.contains("qrn_evidence_incident_mass{kind=\"I2\",zone=\"urban\"} 1"));
-        assert!(body.contains("qrn_evidence_unclassified_mass 2"));
+        for line in [
+            "qrn_evidence_exposure_hours{item=\"ads\"} 1000",
+            "qrn_evidence_exposure_hours{item=\"ads\",zone=\"urban\"} 250",
+            "qrn_evidence_incident_mass{item=\"ads\",kind=\"I3\"} 0.125",
+            "qrn_evidence_incident_observations{item=\"ads\",kind=\"I2\"} 1",
+            "qrn_evidence_incident_mass{item=\"ads\",kind=\"I2\",zone=\"urban\"} 1",
+            "qrn_evidence_unclassified_mass{item=\"ads\"} 2",
+        ] {
+            assert!(body.contains(line), "{line}: {body}");
+        }
     }
 }

@@ -311,6 +311,15 @@ impl Response {
         }
     }
 
+    /// A `500 Internal Server Error` saying what failed and why.
+    pub fn internal_error(what: &str, error: impl std::fmt::Display) -> Response {
+        Response::text(
+            500,
+            "Internal Server Error",
+            &format!("{what} failed: {error}"),
+        )
+    }
+
     /// A `200 OK` JSON response.
     pub fn json(body: String) -> Response {
         Response {

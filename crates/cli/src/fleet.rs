@@ -370,7 +370,14 @@ fn report(
         );
     }
     let evidence = join_evidence(state.evidence(), &extra);
-    let mut report = burn_down_state(&norm, &allocation, &state, &evidence, &config, &filter)?;
+    let mut report = burn_down_state(
+        &norm,
+        &allocation,
+        state.totals(),
+        &evidence,
+        &config,
+        &filter,
+    )?;
     // Look accounting aligned with `qrn serve`: with `--checkpoint`, this
     // report is one more look in a persistent sequence — resume the
     // `<checkpoint>.looks.json` sidecar, spend a look per goal, record

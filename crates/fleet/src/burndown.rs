@@ -46,7 +46,7 @@ use qrn_units::{Frequency, Hours};
 
 use crate::error::FleetError;
 use crate::event::SkipCounts;
-use crate::ingest::FleetState;
+use crate::ingest::{FleetState, FleetTotals};
 
 /// Version of the [`FleetReport`] artefact schema. Version 2 added the
 /// `weighted` goal field, the `zones` rows and the `by_zone` config flag
@@ -624,7 +624,7 @@ fn goal_rows(
 /// the Eq. (1) kernel of `qrn_core::verification`; this function adds the
 /// SPRT and confidence-sequence columns and the zero-exposure rule.
 /// Fleet-operational metadata (vehicles, events, skip tallies) is zeroed
-/// here; [`burn_down_state`] fills it from a [`FleetState`].
+/// here; [`burn_down_state`] fills it from a [`FleetTotals`].
 ///
 /// # Errors
 ///
@@ -706,9 +706,11 @@ pub fn join_evidence<'a>(
         })
 }
 
-/// [`burn_down_evidence_filtered`] over `evidence` — the state's own
-/// ledger or a [`join_evidence`] of it — stamped with the state's
-/// operational metadata (vehicles, events, skip tallies).
+/// [`burn_down_evidence_filtered`] over `evidence` — the totals' own
+/// ledger or a [`join_evidence`] of it — stamped with the totals'
+/// operational metadata (vehicles, events, skip tallies). Takes
+/// [`FleetTotals`], not a [`FleetState`]: a verdict never reads the
+/// per-vehicle map.
 ///
 /// # Errors
 ///
@@ -716,15 +718,15 @@ pub fn join_evidence<'a>(
 pub fn burn_down_state(
     norm: &QuantitativeRiskNorm,
     allocation: &Allocation,
-    state: &FleetState,
+    totals: &FleetTotals,
     evidence: &EvidenceLedger,
     config: &BurnDownConfig,
     filter: &ContextFilter,
 ) -> Result<FleetReport, FleetError> {
     let mut report = burn_down_evidence_filtered(norm, allocation, evidence, config, filter)?;
-    report.vehicles = state.vehicle_count();
-    report.events = state.events();
-    report.skipped = state.skipped();
+    report.vehicles = totals.vehicle_count();
+    report.events = totals.events();
+    report.skipped = totals.skipped();
     Ok(report)
 }
 
@@ -742,7 +744,14 @@ pub fn burn_down_filtered(
     config: &BurnDownConfig,
     filter: &ContextFilter,
 ) -> Result<FleetReport, FleetError> {
-    burn_down_state(norm, allocation, state, state.evidence(), config, filter)
+    burn_down_state(
+        norm,
+        allocation,
+        state.totals(),
+        state.evidence(),
+        config,
+        filter,
+    )
 }
 
 #[cfg(test)]

@@ -46,144 +46,36 @@ pub struct VehicleState {
     pub observations: u64,
 }
 
-/// The live, mergeable state of fleet evidence: everything the burn-down
-/// tracker needs, nothing per-event.
-///
-/// The statistical payload — exposure and classified incident counts — is
-/// an [`EvidenceLedger`], the same evidence currency `qrn-sim` campaigns
-/// emit. Fleet observations enter as unit-weight (weight-1.0) evidence in
-/// the ledger's global row, so a fleet state merges losslessly with
-/// weighted design-time campaign ledgers. Around the ledger the state
-/// keeps the operational bookkeeping a ledger has no business knowing:
-/// per-vehicle tallies, line/event counts and skip tallies of the
-/// underlying log.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FleetState {
+/// The part of a [`FleetState`] every verdict reads: the evidence ledger,
+/// the log's line, event and skip tallies, and how many distinct vehicles
+/// reported — everything but the per-vehicle map, which only checkpoints
+/// and inspection need. A burn-down is a function of these totals alone,
+/// so a live server can publish them after every segment and answer
+/// reads without touching its vehicles.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FleetTotals {
     /// All statistical evidence: exposure and per-type incident counts,
     /// unit-weight, in the ledger's global context.
     evidence: EvidenceLedger,
-    /// Per-vehicle state, in vehicle-id order.
-    vehicles: BTreeMap<String, VehicleState>,
     /// Lines seen (including blank and skipped).
     lines: u64,
     /// Events successfully parsed.
     events: u64,
     /// Skipped-line tallies, by reason.
     skipped: SkipCounts,
+    /// Distinct vehicles that reported at least one event.
+    vehicles: u64,
 }
 
-impl FleetState {
-    /// Total fleet exposure.
-    pub fn exposure(&self) -> Hours {
-        Hours::new(self.evidence.exposure()).expect("accumulated exposure is non-negative")
-    }
-
-    /// The classified count of one incident type (zero when never seen).
-    pub fn count(&self, id: &IncidentTypeId) -> u64 {
-        self.evidence.count(id.as_str()).observations()
-    }
-
-    /// Classified counts per incident type, in id order.
-    pub fn counts(&self) -> impl Iterator<Item = (IncidentTypeId, u64)> + '_ {
-        self.evidence.kinds().into_iter().map(|kind| {
-            (
-                IncidentTypeId::from(kind),
-                self.evidence.count(kind).observations(),
-            )
-        })
-    }
-
-    /// Raw observations that were not incidents under the classification.
-    pub fn unclassified(&self) -> u64 {
-        self.evidence.unclassified().observations()
-    }
-
-    /// The state's statistical evidence as an [`EvidenceLedger`] — the
-    /// mergeable currency shared with `qrn-sim` campaign results. Fleet
-    /// evidence lives in the ledger's global context at unit weight.
+impl FleetTotals {
+    /// The statistical evidence as an [`EvidenceLedger`].
     pub fn evidence(&self) -> &EvidenceLedger {
         &self.evidence
     }
 
-    /// Merges another state into this one (checkpointed incremental
-    /// ingest: the fold over log segments). Associative and commutative in
-    /// the integer tallies; exposure sums are floats, so byte-identical
-    /// resume guarantees hold for *append-order* merges, which is how
-    /// segment ingestion uses it.
-    pub fn merge(&mut self, later: &FleetState) {
-        self.evidence.merge(&later.evidence);
-        for (vehicle, v) in &later.vehicles {
-            let entry = self.vehicle_entry(vehicle);
-            entry.exposure_hours += v.exposure_hours;
-            entry.observations += v.observations;
-        }
-        self.lines += later.lines;
-        self.events += later.events;
-        self.skipped.merge(&later.skipped);
-    }
-
-    /// Looks up a vehicle's state without cloning the id, interning (and
-    /// allocating) the key only on first sight of a new vehicle — the hot
-    /// path for a known vehicle performs zero allocations.
-    fn vehicle_entry(&mut self, vehicle: &str) -> &mut VehicleState {
-        if !self.vehicles.contains_key(vehicle) {
-            self.vehicles
-                .insert(vehicle.to_string(), VehicleState::default());
-        }
-        self.vehicles
-            .get_mut(vehicle)
-            .expect("vehicle was just ensured")
-    }
-
-    /// Folds one exposure report, preserving the exact arithmetic of the
-    /// sequential reference (`0.0 + h` on first sight). Context-stamped
-    /// reports are double-entry: the global row keeps the fleet total
-    /// (so ctx-less consumers see unchanged sums) and the named row
-    /// attributes the same hours to their ODD band.
-    fn fold_exposure(&mut self, vehicle: &str, hours: Hours, ctx: Option<&str>) {
-        self.evidence.add_exposure(None, hours.value());
-        if let Some(ctx) = ctx {
-            self.evidence.add_exposure(Some(ctx), hours.value());
-        }
-        self.vehicle_entry(vehicle).exposure_hours += hours.value();
-    }
-
-    /// Folds one incident observation, classifying against
-    /// `classification`. Like exposure, a context-stamped incident counts
-    /// in the global row and in its band's refinement row.
-    fn fold_incident(
-        &mut self,
-        vehicle: &str,
-        record: &IncidentRecord,
-        classification: &IncidentClassification,
-        ctx: Option<&str>,
-    ) {
-        self.vehicle_entry(vehicle).observations += 1;
-        match classification.classify(record) {
-            Some(leaf) => {
-                self.evidence.add_incident(None, leaf.id().as_str(), 1.0);
-                if let Some(ctx) = ctx {
-                    self.evidence
-                        .add_incident(Some(ctx), leaf.id().as_str(), 1.0);
-                }
-            }
-            None => {
-                self.evidence.add_unclassified(None, 1.0);
-                if let Some(ctx) = ctx {
-                    self.evidence.add_unclassified(Some(ctx), 1.0);
-                }
-            }
-        }
-    }
-
-    /// Number of distinct vehicles that reported at least one event.
-    pub fn vehicle_count(&self) -> u64 {
-        self.vehicles.len() as u64
-    }
-
-    /// Per-vehicle state, in vehicle-id order.
-    pub fn vehicles(&self) -> impl Iterator<Item = (&str, &VehicleState)> {
-        self.vehicles.iter().map(|(id, v)| (id.as_str(), v))
+    /// Total fleet exposure.
+    pub fn exposure(&self) -> Hours {
+        Hours::new(self.evidence.exposure()).expect("accumulated exposure is non-negative")
     }
 
     /// Lines seen, including blank and skipped ones.
@@ -200,13 +92,262 @@ impl FleetState {
     pub fn skipped(&self) -> SkipCounts {
         self.skipped
     }
+
+    /// Number of distinct vehicles that reported at least one event.
+    pub fn vehicle_count(&self) -> u64 {
+        self.vehicles
+    }
+
+    /// Merges the totals of a later segment. Distinct vehicles do not add
+    /// up across segments, so the caller — the owner of the vehicle map —
+    /// passes how many of `later`'s vehicles it had never seen.
+    pub fn merge(&mut self, later: &FleetTotals, new_vehicles: u64) {
+        self.evidence.merge(&later.evidence);
+        self.lines += later.lines;
+        self.events += later.events;
+        self.skipped.merge(&later.skipped);
+        self.vehicles += new_vehicles;
+    }
+}
+
+/// `vehicle`'s entry in `vehicles`, interning (and allocating) the id
+/// only on first sight — the hot path for a known vehicle performs zero
+/// allocations — and whether this was the first sight.
+fn vehicle_entry<'m>(
+    vehicles: &'m mut BTreeMap<String, VehicleState>,
+    vehicle: &str,
+) -> (&'m mut VehicleState, bool) {
+    let new = !vehicles.contains_key(vehicle);
+    if new {
+        vehicles.insert(vehicle.to_string(), VehicleState::default());
+    }
+    let entry = vehicles.get_mut(vehicle).expect("vehicle was just ensured");
+    (entry, new)
+}
+
+/// Adds a later segment's `tallies` for `vehicle` to its entry in
+/// `vehicles`, and reports whether the vehicle was new there. This is the
+/// one per-vehicle merge: [`FleetState::merge`] and the live server's
+/// vehicle shards both use it, so their per-vehicle sums agree to the
+/// bit when they merge in the same order.
+pub fn merge_vehicle(
+    vehicles: &mut BTreeMap<String, VehicleState>,
+    vehicle: &str,
+    tallies: &VehicleState,
+) -> bool {
+    let (entry, new) = vehicle_entry(vehicles, vehicle);
+    entry.exposure_hours += tallies.exposure_hours;
+    entry.observations += tallies.observations;
+    new
+}
+
+/// The live, mergeable state of fleet evidence: everything the burn-down
+/// tracker needs, nothing per-event.
+///
+/// The statistical payload — exposure and classified incident counts — is
+/// an [`EvidenceLedger`], the same evidence currency `qrn-sim` campaigns
+/// emit. Fleet observations enter as unit-weight (weight-1.0) evidence in
+/// the ledger's global row, so a fleet state merges losslessly with
+/// weighted design-time campaign ledgers. Around the ledger the state
+/// keeps the operational bookkeeping a ledger has no business knowing:
+/// line/event counts and skip tallies of the underlying log, and
+/// per-vehicle tallies. All of it but the per-vehicle map is its
+/// [`FleetTotals`].
+///
+/// The serialised form is one flat object (`evidence`, `vehicles`,
+/// `lines`, `events`, `skipped`); the distinct-vehicle count is not
+/// stored but re-derived from the map.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FleetState {
+    /// Evidence, log tallies and the distinct-vehicle count.
+    totals: FleetTotals,
+    /// Per-vehicle state, in vehicle-id order.
+    vehicles: BTreeMap<String, VehicleState>,
+}
+
+impl Serialize for FleetState {
+    fn to_value(&self) -> serde::Value {
+        let totals = &self.totals;
+        let mut map = serde::Map::new();
+        map.insert(String::from("evidence"), totals.evidence.to_value());
+        map.insert(String::from("vehicles"), self.vehicles.to_value());
+        map.insert(String::from("lines"), totals.lines.to_value());
+        map.insert(String::from("events"), totals.events.to_value());
+        map.insert(String::from("skipped"), totals.skipped.to_value());
+        serde::Value::Object(map)
+    }
+}
+
+impl Deserialize for FleetState {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("object", value, "FleetState"))?;
+        let evidence = serde::__private::field(map, "evidence")?;
+        let vehicles: BTreeMap<String, VehicleState> = serde::__private::field(map, "vehicles")?;
+        let totals = FleetTotals {
+            evidence,
+            lines: serde::__private::field(map, "lines")?,
+            events: serde::__private::field(map, "events")?,
+            skipped: serde::__private::field(map, "skipped")?,
+            vehicles: vehicles.len() as u64,
+        };
+        Ok(FleetState { totals, vehicles })
+    }
+}
+
+impl FleetState {
+    /// Reassembles a state from its totals and its per-vehicle map — the
+    /// inverse of [`FleetState::into_parts`]. `totals` must count exactly
+    /// the vehicles of `vehicles`.
+    pub fn from_parts(totals: FleetTotals, vehicles: BTreeMap<String, VehicleState>) -> Self {
+        assert_eq!(
+            totals.vehicles,
+            vehicles.len() as u64,
+            "totals count other vehicles than the map holds"
+        );
+        FleetState { totals, vehicles }
+    }
+
+    /// Splits the state into its totals and its per-vehicle map, moving
+    /// both (no copy).
+    pub fn into_parts(self) -> (FleetTotals, BTreeMap<String, VehicleState>) {
+        (self.totals, self.vehicles)
+    }
+
+    /// What every verdict reads: evidence, log tallies and the
+    /// distinct-vehicle count.
+    pub fn totals(&self) -> &FleetTotals {
+        &self.totals
+    }
+
+    /// Total fleet exposure.
+    pub fn exposure(&self) -> Hours {
+        self.totals.exposure()
+    }
+
+    /// The classified count of one incident type (zero when never seen).
+    pub fn count(&self, id: &IncidentTypeId) -> u64 {
+        self.totals.evidence.count(id.as_str()).observations()
+    }
+
+    /// Classified counts per incident type, in id order.
+    pub fn counts(&self) -> impl Iterator<Item = (IncidentTypeId, u64)> + '_ {
+        let evidence = &self.totals.evidence;
+        evidence.kinds().into_iter().map(|kind| {
+            (
+                IncidentTypeId::from(kind),
+                evidence.count(kind).observations(),
+            )
+        })
+    }
+
+    /// Raw observations that were not incidents under the classification.
+    pub fn unclassified(&self) -> u64 {
+        self.totals.evidence.unclassified().observations()
+    }
+
+    /// The state's statistical evidence as an [`EvidenceLedger`] — the
+    /// mergeable currency shared with `qrn-sim` campaign results. Fleet
+    /// evidence lives in the ledger's global context at unit weight.
+    pub fn evidence(&self) -> &EvidenceLedger {
+        &self.totals.evidence
+    }
+
+    /// Merges another state into this one (checkpointed incremental
+    /// ingest: the fold over log segments). Associative and commutative in
+    /// the integer tallies; exposure sums are floats, so byte-identical
+    /// resume guarantees hold for *append-order* merges, which is how
+    /// segment ingestion uses it.
+    pub fn merge(&mut self, later: &FleetState) {
+        let mut new_vehicles = 0;
+        for (vehicle, tallies) in &later.vehicles {
+            new_vehicles += u64::from(merge_vehicle(&mut self.vehicles, vehicle, tallies));
+        }
+        self.totals.merge(&later.totals, new_vehicles);
+    }
+
+    /// This state's entry for `vehicle`, counted as a distinct vehicle on
+    /// first sight.
+    fn vehicle_entry(&mut self, vehicle: &str) -> &mut VehicleState {
+        let (entry, new) = vehicle_entry(&mut self.vehicles, vehicle);
+        self.totals.vehicles += u64::from(new);
+        entry
+    }
+
+    /// Folds one exposure report, preserving the exact arithmetic of the
+    /// sequential reference (`0.0 + h` on first sight). Context-stamped
+    /// reports are double-entry: the global row keeps the fleet total
+    /// (so ctx-less consumers see unchanged sums) and the named row
+    /// attributes the same hours to their ODD band.
+    fn fold_exposure(&mut self, vehicle: &str, hours: Hours, ctx: Option<&str>) {
+        let evidence = &mut self.totals.evidence;
+        evidence.add_exposure(None, hours.value());
+        if let Some(ctx) = ctx {
+            evidence.add_exposure(Some(ctx), hours.value());
+        }
+        self.vehicle_entry(vehicle).exposure_hours += hours.value();
+    }
+
+    /// Folds one incident observation, classifying against
+    /// `classification`. Like exposure, a context-stamped incident counts
+    /// in the global row and in its band's refinement row.
+    fn fold_incident(
+        &mut self,
+        vehicle: &str,
+        record: &IncidentRecord,
+        classification: &IncidentClassification,
+        ctx: Option<&str>,
+    ) {
+        self.vehicle_entry(vehicle).observations += 1;
+        let evidence = &mut self.totals.evidence;
+        match classification.classify(record) {
+            Some(leaf) => {
+                evidence.add_incident(None, leaf.id().as_str(), 1.0);
+                if let Some(ctx) = ctx {
+                    evidence.add_incident(Some(ctx), leaf.id().as_str(), 1.0);
+                }
+            }
+            None => {
+                evidence.add_unclassified(None, 1.0);
+                if let Some(ctx) = ctx {
+                    evidence.add_unclassified(Some(ctx), 1.0);
+                }
+            }
+        }
+    }
+
+    /// Number of distinct vehicles that reported at least one event.
+    pub fn vehicle_count(&self) -> u64 {
+        self.totals.vehicles
+    }
+
+    /// Per-vehicle state, in vehicle-id order.
+    pub fn vehicles(&self) -> impl Iterator<Item = (&str, &VehicleState)> {
+        self.vehicles.iter().map(|(id, v)| (id.as_str(), v))
+    }
+
+    /// Lines seen, including blank and skipped ones.
+    pub fn lines(&self) -> u64 {
+        self.totals.lines
+    }
+
+    /// Events successfully parsed.
+    pub fn events(&self) -> u64 {
+        self.totals.events
+    }
+
+    /// Skipped-line tallies.
+    pub fn skipped(&self) -> SkipCounts {
+        self.totals.skipped
+    }
 }
 
 /// Folds a sequence of partial [`FleetState`]s into one, merging in
 /// **iteration order** — the exact reduce [`ingest_str`] applies to its
 /// per-block partials, exposed so other layers (checkpointed segment
-/// ingest, the sharded live server's cross-shard fold) perform the same
-/// fold and inherit the same determinism argument.
+/// ingest, tests) perform the same fold and inherit the same determinism
+/// argument.
 ///
 /// Integer tallies merge associatively and commutatively without
 /// qualification. The floating-point exposure sums are exact — and the
@@ -215,7 +356,7 @@ impl FleetState {
 /// is what the telemetry layer emits (bounded chunks in multiples of
 /// 0.25 h). For arbitrary floats the fold is still deterministic for a
 /// fixed iteration order, which is why every caller fixes one (block
-/// index, segment arrival, shard index).
+/// index, segment arrival).
 pub fn fold_states<I>(states: I) -> FleetState
 where
     I: IntoIterator,
@@ -242,11 +383,11 @@ impl ShardAccumulator {
     /// else goes through the tolerant fallback with identical semantics.
     fn absorb_line(&mut self, line: &str, classification: &IncidentClassification) {
         let s = &mut self.state;
-        s.lines += 1;
+        s.totals.lines += 1;
         match fastpath::parse_line_hybrid(line) {
             ParsedLine::Blank => {}
             ParsedLine::Fast(event, _seq, ctx) => {
-                s.events += 1;
+                s.totals.events += 1;
                 match event {
                     FastEvent::Exposure { vehicle, hours } => s.fold_exposure(vehicle, hours, ctx),
                     FastEvent::Incident { vehicle, record } => {
@@ -255,7 +396,7 @@ impl ShardAccumulator {
                 }
             }
             ParsedLine::Owned(event, _seq, ctx) => {
-                s.events += 1;
+                s.totals.events += 1;
                 let ctx = ctx.as_deref();
                 match &event {
                     FleetEvent::Exposure { vehicle, hours } => {
@@ -266,7 +407,7 @@ impl ShardAccumulator {
                     }
                 }
             }
-            ParsedLine::Skip(reason) => s.skipped.count(reason),
+            ParsedLine::Skip(reason) => s.totals.skipped.count(reason),
         }
     }
 }

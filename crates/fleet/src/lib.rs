@@ -72,6 +72,6 @@ pub use burndown::{burn_down_filtered, AlertLevel, BurnDownConfig, ContextFilter
 pub use error::FleetError;
 pub use event::fastpath::{parse_line_hybrid, FastEvent, ParsedLine, ScratchParser};
 pub use event::{parse_jsonl, to_jsonl, FleetEvent, SkipCounts, SCHEMA_VERSION};
-pub use ingest::{ingest_str, ingest_str_with_scratch, FleetState};
+pub use ingest::{ingest_str, ingest_str_with_scratch, FleetState, FleetTotals};
 pub use looks::{AlertTransition, GoalLooks, LookBook};
 pub use telemetry::TelemetryConfig;

@@ -10,11 +10,12 @@
 //! reuses the shared [`qrn_stats::prometheus`] writer so `/metrics`
 //! output is structurally valid by construction.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use qrn_fleet::burndown::{FleetReport, GoalBurnDown};
-use qrn_fleet::ingest::FleetState;
+use qrn_fleet::ingest::FleetTotals;
 use qrn_fleet::looks::LookBook;
 use qrn_stats::evidence::EvidenceLedger;
 use qrn_stats::prometheus::{MetricKind, TextFamilies};
@@ -256,15 +257,15 @@ impl ServerMetrics {
     }
 }
 
-/// One served item as a `/metrics` scrape sees it: the folded state, the
-/// look counters, the evidence joined with the item's design-time
+/// One served item as a `/metrics` scrape sees it: the published totals,
+/// the look counters, the evidence joined with the item's design-time
 /// ledgers, the burn-down over that evidence, and the store statistics
 /// (when the server has a store).
 pub(crate) struct ItemView<'a> {
     pub name: &'a str,
-    pub fleet: FleetState,
+    pub totals: &'a FleetTotals,
     pub looks: LookBook,
-    pub evidence: EvidenceLedger,
+    pub evidence: Cow<'a, EvidenceLedger>,
     pub report: FleetReport,
     pub store: Option<&'a StoreStats>,
 }
@@ -323,23 +324,23 @@ pub(crate) const FLEET_FAMILIES: [Family; 4] = [
     Family {
         name: "qrn_fleet_lines_total",
         help: "Telemetry lines offered to the parser",
-        samples: |v, emit| emit(None, Value::Count(v.fleet.lines())),
+        samples: |v, emit| emit(None, Value::Count(v.totals.lines())),
     },
     Family {
         name: "qrn_fleet_events_total",
         help: "Telemetry events accepted",
-        samples: |v, emit| emit(None, Value::Count(v.fleet.events())),
+        samples: |v, emit| emit(None, Value::Count(v.totals.events())),
     },
     Family {
         name: "qrn_fleet_vehicles",
         help: "Distinct vehicles that reported",
-        samples: |v, emit| emit(None, Value::Count(v.fleet.vehicle_count())),
+        samples: |v, emit| emit(None, Value::Count(v.totals.vehicle_count())),
     },
     Family {
         name: "qrn_fleet_skipped_lines_total",
         help: "Telemetry lines skipped by the tolerant parser, by reason",
         samples: |v, emit| {
-            let skipped = v.fleet.skipped();
+            let skipped = v.totals.skipped();
             for (reason, count) in [
                 ("bad_json", skipped.bad_json),
                 ("not_an_object", skipped.not_an_object),

@@ -271,11 +271,12 @@ COMMANDS:
         checkpoint per item. The positional artefacts are the item named
         'default'; each --item adds another served item, addressed as
         /v1/<name>/ingest and /v1/<name>/burndown with its own state and
-        checkpoint file. Each item's live state is spread over
-        --state-shards shards (default: CPU count) so concurrent ingests
-        don't serialise; queries and checkpoints fold the shards
-        deterministically, keeping every checkpoint byte-identical to
-        `fleet ingest` of the same segments offline. With --checkpoint
+        checkpoint file. Burn-downs and scrapes read totals each item
+        publishes after every segment, so a query costs the same at any
+        fleet size; checkpoints stay byte-identical to `fleet ingest` of
+        the same segments offline. --state-shards is accepted for
+        compatibility and no longer changes the layout (each item keeps
+        one vehicle map). With --checkpoint
         the state is resumed at start and atomically checkpointed every
         --checkpoint-every segments (default 1). With --store every
         accepted segment is first appended — durably, screened for

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! qrn serve case/norm.json case/classification.json case/allocation.json \
-//!     --port 7878 --state-shards 4 --checkpoint case/live-state.json \
+//!     --port 7878 --checkpoint case/live-state.json \
 //!     --item vru=vru-norm.json,vru-classification.json,vru-allocation.json
 //! curl -X POST --data-binary @segment.jsonl http://127.0.0.1:7878/v1/ingest
 //! curl http://127.0.0.1:7878/v1/burndown
@@ -120,7 +120,6 @@ pub fn run(
     let checkpoint = config.checkpoint.clone();
     let store = config.store.clone();
     let item_names: Vec<String> = config.items.iter().map(|item| item.name.clone()).collect();
-    let state_shards = config.state_shards;
     let handle = Server::start(config)?;
     println!(
         "serving on http://{} — POST /v1/[<item>/]ingest, \
@@ -128,12 +127,7 @@ pub fn run(
          GET /metrics, GET /healthz, POST /v1/shutdown",
         handle.addr()
     );
-    println!(
-        "items: {} ({} state shard{} each)",
-        item_names.join(", "),
-        state_shards,
-        if state_shards == 1 { "" } else { "s" }
-    );
+    println!("items: {}", item_names.join(", "));
     if let Some(path) = &checkpoint {
         println!(
             "checkpointing to {} (non-default items get per-item files)",

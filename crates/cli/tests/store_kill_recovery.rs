@@ -35,7 +35,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Reads the child's stdout until the "serving on http://HOST:PORT"
-/// banner appears and returns the address.
+/// banner appears and returns the address. The rest of stdout is
+/// drained on a background thread: the server prints more start-up
+/// lines after the banner, and a closed pipe would fail those writes
+/// and stop the server.
 fn wait_for_addr(child: &mut Child) -> String {
     let stdout = child.stdout.take().expect("stdout piped");
     let mut lines = BufReader::new(stdout).lines();
@@ -46,7 +49,9 @@ fn wait_for_addr(child: &mut Child) -> String {
             .expect("stdout readable");
         if let Some(rest) = line.strip_prefix("serving on http://") {
             let addr = rest.split_whitespace().next().expect("address token");
-            return addr.to_string();
+            let addr = addr.to_string();
+            std::thread::spawn(move || lines.for_each(drop));
+            return addr;
         }
     }
 }

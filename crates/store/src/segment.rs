@@ -201,6 +201,69 @@ pub struct SnapshotPayload {
     pub missing_seqs: u64,
 }
 
+impl SnapshotPayload {
+    /// The payload by reference.
+    pub(crate) fn view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            state: &self.state,
+            cursors: &self.cursors,
+            duplicates: self.duplicates,
+            gap_events: self.gap_events,
+            missing_seqs: self.missing_seqs,
+        }
+    }
+}
+
+/// A [`SnapshotPayload`] by reference: serialises to the same bytes
+/// without cloning the state and cursors it is written from — at fleet
+/// scale the per-vehicle map is most of a snapshot.
+pub(crate) struct SnapshotView<'a> {
+    state: &'a FleetState,
+    cursors: &'a BTreeMap<String, u64>,
+    duplicates: u64,
+    gap_events: u64,
+    missing_seqs: u64,
+}
+
+impl Serialize for SnapshotView<'_> {
+    fn to_value(&self) -> serde::Value {
+        let mut map = serde::Map::new();
+        map.insert(String::from("state"), self.state.to_value());
+        map.insert(String::from("cursors"), self.cursors.to_value());
+        map.insert(String::from("duplicates"), self.duplicates.to_value());
+        map.insert(String::from("gap_events"), self.gap_events.to_value());
+        map.insert(String::from("missing_seqs"), self.missing_seqs.to_value());
+        serde::Value::Object(map)
+    }
+}
+
+impl SnapshotView<'_> {
+    /// An owned copy of the payload.
+    pub(crate) fn to_owned(&self) -> SnapshotPayload {
+        SnapshotPayload {
+            state: self.state.clone(),
+            cursors: self.cursors.clone(),
+            duplicates: self.duplicates,
+            gap_events: self.gap_events,
+            missing_seqs: self.missing_seqs,
+        }
+    }
+
+    /// The snapshot record carrying this payload, stamped `ts`.
+    pub(crate) fn record(&self, ts: u64) -> Record {
+        Record {
+            kind: RecordKind::Snapshot,
+            ts,
+            duplicates: 0,
+            gap_events: 0,
+            missing_seqs: 0,
+            payload: serde_json::to_string(self)
+                .expect("snapshot payload is serialisable")
+                .into_bytes(),
+        }
+    }
+}
+
 /// The running state of a replay fold — shared by writer recovery and
 /// every reader query.
 #[derive(Debug, Clone, Default)]
@@ -227,6 +290,17 @@ pub struct ReplayState {
 }
 
 impl ReplayState {
+    /// The snapshot payload of the fold so far, by reference.
+    pub(crate) fn snapshot_view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            state: &self.state,
+            cursors: &self.cursors,
+            duplicates: self.duplicates,
+            gap_events: self.gap_events,
+            missing_seqs: self.missing_seqs,
+        }
+    }
+
     /// Applies one record: a batch is re-ingested from its stored text
     /// and merged (the same fold the live writer performed), a snapshot
     /// replaces the running state with its payload.
@@ -291,6 +365,47 @@ impl ReplayState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qrn_core::examples::paper_classification;
+    use qrn_fleet::event::FleetEvent;
+    use qrn_units::Hours;
+
+    #[test]
+    fn snapshot_view_serialises_like_the_owned_payload() {
+        let line = |vehicle: &str, hours: f64, seq: u64| {
+            FleetEvent::Exposure {
+                vehicle: vehicle.into(),
+                hours: Hours::new(hours).unwrap(),
+            }
+            .to_line_with_seq(seq)
+        };
+        let batch = Record {
+            kind: RecordKind::Batch,
+            ts: 5,
+            duplicates: 1,
+            gap_events: 1,
+            missing_seqs: 2,
+            payload: format!("{}\n{}\n", line("A", 0.1, 1), line("B", 2.5, 4)).into_bytes(),
+        };
+        let mut replay = ReplayState::default();
+        replay
+            .apply(&batch, &paper_classification().unwrap(), 1)
+            .unwrap();
+        let view = replay.snapshot_view();
+        let owned = SnapshotPayload {
+            state: replay.state.clone(),
+            cursors: replay.cursors.clone(),
+            duplicates: replay.duplicates,
+            gap_events: replay.gap_events,
+            missing_seqs: replay.missing_seqs,
+        };
+        assert!(owned.gap_events > 0 && owned.cursors.len() == 2);
+        assert_eq!(
+            serde_json::to_string(&view).unwrap(),
+            serde_json::to_string(&owned).unwrap()
+        );
+        assert_eq!(view.to_owned(), owned);
+        assert_eq!(owned.view().record(9).payload, view.record(9).payload);
+    }
 
     #[test]
     fn segment_names_round_trip() {

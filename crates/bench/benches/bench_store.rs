@@ -3,9 +3,10 @@
 //! replay latency, with and without snapshot records bounding the tail.
 //!
 //! After the criterion groups run, the harness writes the machine-local
-//! perf baseline `results/BENCH_store.json`: append rate and `as_of`
-//! replay cost for a store that never snapshots versus one that
-//! snapshots every 512 events. The *timings* are machine-local; the
+//! perf baseline `results/BENCH_store.json`: append rate, `as_of`
+//! replay cost and `Store::open` recovery time for a store that never
+//! snapshots versus one that snapshots every 512 events, with the
+//! command that produced it. The *timings* are machine-local; the
 //! structural claims are not, and are asserted here: both stores fold
 //! to byte-identical fleet states, and the snapshotted store answers
 //! the same `as_of` query by folding strictly fewer records (snapshot +
@@ -129,10 +130,19 @@ fn bench_replay(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Builds a store with the given snapshot cadence from `batches`,
-/// returning (append seconds, as_of fold seconds, records folded by the
-/// as_of query, canonical state JSON).
-fn timed_store(snapshot_every_events: u64, batches: &[String]) -> (f64, f64, u64, String) {
+/// What [`timed_store`] measured.
+struct Timed {
+    append_secs: f64,
+    fold_secs: f64,
+    open_secs: f64,
+    records_folded: u64,
+    state: String,
+}
+
+/// Builds a store with the given snapshot cadence from `batches`, then
+/// times one `as_of` fold at the newest batch and one `Store::open`
+/// recovery, and keeps the folded state's canonical JSON.
+fn timed_store(snapshot_every_events: u64, batches: &[String]) -> Timed {
     let dir = temp_dir(&format!("baseline-{snapshot_every_events}"));
     let classification = paper_classification().expect("paper example");
     let mut store = Store::open(
@@ -144,14 +154,30 @@ fn timed_store(snapshot_every_events: u64, batches: &[String]) -> (f64, f64, u64
     let append_secs = append_all(&mut store, batches);
     drop(store);
 
-    let reader = StoreReader::open(&dir, classification, 1).expect("reader opens");
+    let reader = StoreReader::open(&dir, classification.clone(), 1).expect("reader opens");
     let last_ts = batches.len() as u64 * 1_000;
     let start = Instant::now();
     let summary = reader.fold_as_of(Some(last_ts)).expect("fold");
     let fold_secs = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let store = Store::open(&dir, classification, store_config(snapshot_every_events))
+        .expect("store reopens");
+    let open_secs = start.elapsed().as_secs_f64();
     let state = serde_json::to_string(&summary.state).expect("state serialises");
+    assert_eq!(
+        serde_json::to_string(store.state()).expect("state serialises"),
+        state,
+        "recovery and the as_of fold disagree"
+    );
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
-    (append_secs, fold_secs, summary.records, state)
+    Timed {
+        append_secs,
+        fold_secs,
+        open_secs,
+        records_folded: summary.records,
+        state,
+    }
 }
 
 /// Writes `results/BENCH_store.json` and asserts the structural claims
@@ -170,22 +196,29 @@ fn emit_store_baseline() {
     let mut folded_records = Vec::new();
     let mut states = Vec::new();
     for snapshot_every in [0u64, 512] {
-        let (append_secs, fold_secs, records, state) = timed_store(snapshot_every, &batches);
-        let append_rate = events as f64 / append_secs;
+        let timed = timed_store(snapshot_every, &batches);
+        let append_rate = events as f64 / timed.append_secs;
         println!(
             "store/baseline snapshot_every={snapshot_every}: {append_rate:.0} events/s appended, \
-             as_of fold {:.2} ms over {records} record(s)",
-            fold_secs * 1e3,
+             as_of fold {:.2} ms over {} record(s), open {:.2} ms",
+            timed.fold_secs * 1e3,
+            timed.records_folded,
+            timed.open_secs * 1e3,
         );
         rows.push(serde_json::json!({
             "snapshot_every_events": snapshot_every,
             "append_events_per_second": append_rate,
-            "as_of_fold_millis": fold_secs * 1e3,
-            "as_of_records_folded": records,
+            "as_of_fold_millis": timed.fold_secs * 1e3,
+            "as_of_records_folded": timed.records_folded,
+            "open_millis": timed.open_secs * 1e3,
         }));
-        folded_records.push(records);
-        states.push(state);
+        folded_records.push(timed.records_folded);
+        states.push(timed.state);
     }
+    let command = format!(
+        "{}cargo bench -p qrn-bench --bench bench_store",
+        if quick() { "QRN_BENCH_QUICK=1 " } else { "" }
+    );
 
     save_json(
         "BENCH_store",
@@ -194,11 +227,12 @@ fn emit_store_baseline() {
             "events": events,
             "batches": batches.len(),
             "quick": quick(),
+            "command": command,
             "baseline": rows,
-            "note": "durable append rate and as_of replay cost without vs with snapshot \
-                     records; timings are machine-local, but the snapshotted store must \
-                     fold strictly fewer records for the same query and both must fold \
-                     to byte-identical states",
+            "note": "durable append rate, as_of replay cost and Store::open recovery time \
+                     without vs with snapshot records; timings are machine-local, but the \
+                     snapshotted store must fold strictly fewer records for the same query \
+                     and both must fold, and recover, to byte-identical states",
         }),
     );
 

@@ -36,7 +36,8 @@
 //! * **Snapshots and compaction.** Periodic snapshot records carry the
 //!   serialised fold state (an [`qrn_fleet::ingest::FleetState`], whose
 //!   statistical core is the `EvidenceLedger`), so historical queries
-//!   fold *snapshot + tail* instead of the whole log; compaction rewrites
+//!   and recovery fold *snapshot + tail* instead of the whole log (they
+//!   still checksum every record); compaction rewrites
 //!   closed segments into a single snapshot segment. Both are proven
 //!   byte-identical to full replay by property tests — the same
 //!   associative-merge contract `fold_states` honours.

@@ -1,8 +1,9 @@
 //! Read-side access: time-travel folds, history, verification.
 //!
 //! A [`StoreReader`] holds no file handles and takes no locks — every
-//! query lists the directory, reads the segments it needs into memory
-//! and folds them with the shared [`ReplayState`] fold. That makes
+//! query lists the directory, reads and checks its segments (up to
+//! `shards` of them at a time) and folds them in log order with the
+//! shared [`ReplayState`] fold. That makes
 //! reads safe to run concurrently with the single writer: closed
 //! segments are immutable, the open segment only ever grows by whole
 //! fsynced records (a partially-visible append looks like a torn tail
@@ -20,10 +21,18 @@
 //! after it, batch-by-batch in append order. The result is
 //! byte-identical to folding the whole prefix from scratch, floats
 //! included (enforced by this crate's property tests).
+//!
+//! The fold is O(tail); the checksum pass is O(store) by design. Every
+//! query checks every record of every segment, past the cut included,
+//! so a damaged store fails every read rather than only the reads
+//! whose fold happens to touch the damage. Records outside the folded
+//! range are checked in place and never copied.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use serde::Serialize;
 
@@ -31,9 +40,10 @@ use qrn_core::IncidentClassification;
 use qrn_fleet::ingest::FleetState;
 use qrn_stats::evidence::EvidenceLedger;
 
-use crate::record::{Record, RecordKind};
+use crate::record::{Record, RecordKind, RecordRef};
 use crate::segment::{
-    decode_closed, list_closed, scan_open, ReplayState, SnapshotPayload, OPEN_SEGMENT,
+    batch_text, decode_closed, list_closed, scan_open, ReplayState, SegmentTail, SnapshotPayload,
+    TailFold, OPEN_SEGMENT,
 };
 use crate::StoreError;
 
@@ -182,24 +192,21 @@ impl StoreReader {
     /// Propagates listing/read failures and corruption outside the open
     /// segment's torn tail.
     pub fn fold_as_of(&self, as_of: Option<u64>) -> Result<ReplaySummary, StoreError> {
-        let (records, torn) = self.collect()?;
         let cut = as_of.unwrap_or(u64::MAX);
-        // Timestamps are non-decreasing, so the queryable prefix ends at
-        // the first record past the cut.
-        let prefix_len = records.iter().take_while(|r| r.ts <= cut).count();
-        let prefix = &records[..prefix_len];
-        // Fast path: start at the newest snapshot in the prefix (whose
-        // application REPLACEs the running state) and fold only the tail
-        // after it; with no snapshot, fold the whole prefix.
-        let start = prefix
-            .iter()
-            .rposition(|r| r.kind == RecordKind::Snapshot)
-            .unwrap_or(0);
-        let mut replay = ReplayState::default();
-        for record in &prefix[start..] {
-            replay.apply(record, &self.classification, self.shards)?;
+        let (tails, torn) = self.map_segments(|_, _, records| {
+            // Timestamps are non-decreasing, so the queryable prefix ends
+            // at the first record past the cut.
+            let prefix = records.partition_point(|r| r.ts <= cut);
+            Ok(SegmentTail::of(&records[..prefix]))
+        })?;
+        let mut fold = TailFold::default();
+        for tail in tails {
+            fold.push(tail, &self.classification, self.shards)?;
         }
-        Ok(summary(replay, torn))
+        Ok(summary(
+            fold.finish(&self.classification, self.shards)?,
+            torn,
+        ))
     }
 
     /// Folds every stored record sequentially, snapshot replacement
@@ -210,10 +217,10 @@ impl StoreReader {
     /// Propagates listing/read failures and corruption outside the open
     /// segment's torn tail.
     pub fn replay_sequential(&self) -> Result<ReplaySummary, StoreError> {
-        let (records, torn) = self.collect()?;
+        let (segments, torn) = self.collect()?;
         let mut replay = ReplayState::default();
-        for record in &records {
-            replay.apply(record, &self.classification, self.shards)?;
+        for record in segments.iter().flat_map(|(_, _, records)| records) {
+            replay.apply(record.view(), &self.classification, self.shards)?;
         }
         Ok(summary(replay, torn))
     }
@@ -227,7 +234,7 @@ impl StoreReader {
     /// Propagates listing/read failures and corruption outside the open
     /// segment's torn tail.
     pub fn history(&self) -> Result<StoreHistory, StoreError> {
-        let (segments, _torn) = self.collect_segments()?;
+        let (segments, _torn) = self.collect()?;
         let mut infos = Vec::with_capacity(segments.len());
         let mut points = Vec::new();
         let mut replay = ReplayState::default();
@@ -247,7 +254,7 @@ impl StoreReader {
                     RecordKind::Batch => info.batches += 1,
                     RecordKind::Snapshot => info.snapshots += 1,
                 }
-                replay.apply(record, &self.classification, self.shards)?;
+                replay.apply(record.view(), &self.classification, self.shards)?;
                 any = true;
                 if record.kind == RecordKind::Snapshot {
                     points.push(HistoryPoint {
@@ -286,36 +293,28 @@ impl StoreReader {
     /// (damaged records, missing segments) — those make verification
     /// itself impossible.
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
-        let (records, torn) = self.collect()?;
+        let (segments, torn) = self.collect()?;
         let mut report = VerifyReport {
             torn_tail_bytes: torn,
             ..VerifyReport::default()
         };
         let mut replay = ReplayState::default();
-        let mut have_base = false;
-        for (index, record) in records.iter().enumerate() {
+        let records = segments.iter().flat_map(|(_, _, records)| records);
+        for (index, record) in records.enumerate() {
             report.records += 1;
             match record.kind {
-                RecordKind::Batch => {
-                    report.batches += 1;
-                    replay.apply(record, &self.classification, self.shards)?;
-                }
+                RecordKind::Batch => report.batches += 1,
                 RecordKind::Snapshot => {
                     report.snapshots += 1;
-                    if have_base {
-                        let text = std::str::from_utf8(&record.payload).map_err(|_| {
-                            StoreError::Corrupt("snapshot payload is not valid UTF-8".to_string())
-                        })?;
-                        let stored: SnapshotPayload = serde_json::from_str(text).map_err(|e| {
-                            StoreError::Corrupt(format!("snapshot payload does not parse: {e}"))
-                        })?;
-                        check_snapshot(&mut report, index, &replay, &stored);
+                    // The first record has no replayed base to check a
+                    // snapshot against.
+                    if index > 0 {
+                        check_snapshot(&mut report, index, &replay, record.view())?;
                         report.snapshots_verified += 1;
                     }
-                    replay.apply(record, &self.classification, self.shards)?;
                 }
             }
-            have_base = true;
+            replay.apply(record.view(), &self.classification, self.shards)?;
         }
         Ok(report)
     }
@@ -331,90 +330,147 @@ impl StoreReader {
     /// Propagates listing/read failures and corruption outside the open
     /// segment's torn tail.
     pub fn dump_log(&self, as_of: Option<u64>) -> Result<String, StoreError> {
-        let (records, _) = self.collect()?;
         let cut = as_of.unwrap_or(u64::MAX);
-        let mut out = String::new();
-        for record in records.iter().take_while(|r| r.ts <= cut) {
-            if record.kind == RecordKind::Batch {
-                out.push_str(std::str::from_utf8(&record.payload).map_err(|_| {
-                    StoreError::Corrupt("batch payload is not valid UTF-8".to_string())
-                })?);
+        let (texts, _) = self.map_segments(|_, _, records| {
+            let mut text = String::new();
+            for record in records.iter().take_while(|r| r.ts <= cut) {
+                if record.kind == RecordKind::Batch {
+                    text.push_str(batch_text(record.payload)?);
+                }
             }
-        }
-        Ok(out)
+            Ok(text)
+        })?;
+        Ok(texts.concat())
     }
 
-    /// Reads all records in global order (closed segments ascending,
-    /// then the open segment), with one retry to absorb a roll or
-    /// compaction racing the directory listing.
-    fn collect(&self) -> Result<(Vec<Record>, u64), StoreError> {
-        self.collect_segments().map(|(segments, torn)| {
-            (
-                segments
-                    .into_iter()
-                    .flat_map(|(_, _, records)| records)
-                    .collect(),
-                torn,
-            )
+    /// Every segment's file name, byte length and records, copied — for
+    /// the queries that fold every record.
+    #[allow(clippy::type_complexity)]
+    fn collect(&self) -> Result<(Vec<(String, u64, Vec<Record>)>, u64), StoreError> {
+        self.map_segments(|name, bytes_len, records| {
+            let records = records.iter().map(|r| r.owned()).collect();
+            Ok((name.to_string(), bytes_len, records))
         })
     }
 
-    /// Reads all segments in global order. Retries once: a roll renames
-    /// `open.seg` between listing and reading, a compaction deletes
-    /// just-listed segments — both surface as read/decode failures that
-    /// a fresh listing resolves.
-    #[allow(clippy::type_complexity)]
-    fn collect_segments(&self) -> Result<(Vec<(String, u64, Vec<Record>)>, u64), StoreError> {
-        match self.try_collect_segments() {
-            Ok(result) => Ok(result),
-            Err(_) => self.try_collect_segments(),
-        }
+    /// Reads and checks every segment, closed segments ascending and
+    /// then the open segment, and maps each one's file name, byte length
+    /// and checksum-valid records (borrowed from its bytes) through
+    /// `each`. Returns the results in log order and the bytes of torn
+    /// tail on the open segment.
+    ///
+    /// Segments are independent until the fold, so up to `shards`
+    /// workers read and check them in parallel, each holding one
+    /// segment's bytes at a time.
+    ///
+    /// Retries once: a roll renames `open.seg` between listing and
+    /// reading, a compaction deletes just-listed segments — both surface
+    /// as read/decode failures that a fresh listing resolves.
+    fn map_segments<T: Send>(
+        &self,
+        each: impl Fn(&str, u64, &[RecordRef<'_>]) -> Result<T, StoreError> + Sync,
+    ) -> Result<(Vec<T>, u64), StoreError> {
+        self.try_map_segments(&each)
+            .or_else(|_| self.try_map_segments(&each))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn try_collect_segments(&self) -> Result<(Vec<(String, u64, Vec<Record>)>, u64), StoreError> {
-        let mut segments = Vec::new();
-        for (_, path) in list_closed(&self.dir)? {
-            let bytes = fs::read(&path)
-                .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
-            let records = decode_closed(&bytes, &path)?;
+    fn try_map_segments<T: Send>(
+        &self,
+        each: &(impl Fn(&str, u64, &[RecordRef<'_>]) -> Result<T, StoreError> + Sync),
+    ) -> Result<(Vec<T>, u64), StoreError> {
+        let mut paths: Vec<PathBuf> = list_closed(&self.dir)?
+            .into_iter()
+            .map(|(_, path)| path)
+            .collect();
+        paths.push(self.dir.join(OPEN_SEGMENT));
+        let open = paths.len() - 1;
+        let segment = |index: usize| -> Visited<T> {
+            let path = &paths[index];
+            let bytes = match fs::read(path) {
+                Ok(bytes) => bytes,
+                // The open segment may be missing mid-roll; its records
+                // are then in the just-closed segment already listed (or
+                // will be on retry).
+                Err(e) if index == open && e.kind() == std::io::ErrorKind::NotFound => {
+                    return Ok(None)
+                }
+                Err(e) => {
+                    return Err(StoreError::Io(format!(
+                        "cannot read {}: {e}",
+                        path.display()
+                    )))
+                }
+            };
+            let len = bytes.len() as u64;
+            if index == open {
+                let scan = scan_open(&bytes, path)?;
+                return Ok(Some((
+                    each(OPEN_SEGMENT, len, &scan.records)?,
+                    scan.torn_bytes,
+                )));
+            }
+            let records = decode_closed(&bytes, path)?;
             let name = path
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            segments.push((name, bytes.len() as u64, records));
-        }
-        let open_path = self.dir.join(OPEN_SEGMENT);
-        let mut torn = 0u64;
-        match fs::read(&open_path) {
-            Ok(bytes) => {
-                let scan = scan_open(&bytes, &open_path)?;
-                torn = scan.torn_bytes;
-                segments.push((OPEN_SEGMENT.to_string(), bytes.len() as u64, scan.records));
+            Ok(Some((each(&name, len, &records)?, 0)))
+        };
+        let workers = self.shards.min(paths.len());
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, Visited<T>)> = thread::scope(|scope| {
+            let worker = || {
+                let mut done = Vec::new();
+                loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= paths.len() {
+                        return done;
+                    }
+                    done.push((index, segment(index)));
+                }
+            };
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut done = worker();
+            for helper in helpers {
+                done.extend(helper.join().expect("segment worker panicked"));
             }
-            // The open segment may be missing mid-roll; its records are
-            // then in the just-closed segment already read (or will be
-            // on retry).
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(StoreError::Io(format!(
-                    "cannot read {}: {e}",
-                    open_path.display()
-                )));
+            done
+        });
+        done.sort_unstable_by_key(|(index, _)| *index);
+        let mut results = Vec::with_capacity(done.len());
+        let mut torn = 0;
+        for (_, result) in done {
+            if let Some((value, torn_bytes)) = result? {
+                results.push(value);
+                torn += torn_bytes;
             }
         }
-        Ok((segments, torn))
+        Ok((results, torn))
     }
 }
 
+/// One segment as [`StoreReader::map_segments`] visited it: `None` for a
+/// missing open segment, else the mapped value and the segment's bytes
+/// of torn tail.
+type Visited<T> = Result<Option<(T, u64)>, StoreError>;
+
 /// Compares one snapshot record against the independently replayed
 /// state, appending a mismatch description per disagreeing facet.
+///
+/// # Errors
+///
+/// Returns [`StoreError::Corrupt`] when the snapshot payload is not a
+/// UTF-8 [`SnapshotPayload`].
 fn check_snapshot(
     report: &mut VerifyReport,
     index: usize,
     replayed: &ReplayState,
-    stored: &SnapshotPayload,
-) {
+    record: RecordRef<'_>,
+) -> Result<(), StoreError> {
+    let text = std::str::from_utf8(record.payload)
+        .map_err(|_| StoreError::Corrupt("snapshot payload is not valid UTF-8".to_string()))?;
+    let stored: SnapshotPayload = serde_json::from_str(text)
+        .map_err(|e| StoreError::Corrupt(format!("snapshot payload does not parse: {e}")))?;
     let replayed_json =
         serde_json::to_string(&replayed.state).expect("fleet state is serialisable");
     let stored_json = serde_json::to_string(&stored.state).expect("fleet state is serialisable");
@@ -449,6 +505,7 @@ fn check_snapshot(
             replayed.missing_seqs
         ));
     }
+    Ok(())
 }
 
 fn ledger_canonical(ledger: &EvidenceLedger) -> String {
@@ -659,7 +716,7 @@ mod tests {
         let open_path = dir.join(OPEN_SEGMENT);
         let bytes = fs::read(&open_path).unwrap();
         let scan = scan_open(&bytes, &open_path).unwrap();
-        let mut doctored_records = scan.records.clone();
+        let mut doctored_records: Vec<_> = scan.records.iter().map(|r| r.owned()).collect();
         let last = doctored_records.last_mut().unwrap();
         assert_eq!(last.kind, RecordKind::Snapshot);
         let text = String::from_utf8(last.payload.clone()).unwrap();

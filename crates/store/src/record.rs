@@ -27,8 +27,14 @@
 //!   without re-deriving it.
 //! * **Snapshot (2)** — the serialised cumulative fold state at this
 //!   point of the log (see [`crate::store`]). On replay a snapshot
-//!   *replaces* the running state; on query it is the fast-path base
-//!   that makes historical folds O(tail) instead of O(log).
+//!   *replaces* the running state; on query and on recovery it is the
+//!   base the fold starts from, so the *fold* costs O(tail). The
+//!   checksum pass still costs O(store) by design: every read checks
+//!   every record it reads, folded or not.
+//!
+//! [`decode`] checks a record and borrows it from the buffer
+//! ([`RecordRef`]); only the records a fold keeps are ever copied
+//! ([`RecordRef::owned`]).
 
 use crate::StoreError;
 
@@ -67,9 +73,10 @@ impl RecordKind {
     }
 }
 
-/// One framed store record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+/// One framed store record, owning its payload (`P = Vec<u8>`) or
+/// borrowing it from a segment buffer ([`RecordRef`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<P = Vec<u8>> {
     /// What the payload is.
     pub kind: RecordKind,
     /// Milliseconds since the unix epoch; non-decreasing within a store.
@@ -84,39 +91,70 @@ pub struct Record {
     /// snapshots).
     pub missing_seqs: u32,
     /// The record body.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
-impl Record {
+/// A checksum-valid record borrowed from the buffer it was decoded from.
+pub type RecordRef<'a> = Record<&'a [u8]>;
+
+impl<P: AsRef<[u8]>> Record<P> {
+    /// The record with its payload borrowed.
+    pub fn view(&self) -> RecordRef<'_> {
+        Record {
+            kind: self.kind,
+            ts: self.ts,
+            duplicates: self.duplicates,
+            gap_events: self.gap_events,
+            missing_seqs: self.missing_seqs,
+            payload: self.payload.as_ref(),
+        }
+    }
+
     /// Frames the record as bytes ready to append to a segment file.
     pub fn encode(&self) -> Vec<u8> {
-        let mut inner = Vec::with_capacity(INNER_HEADER + self.payload.len());
+        let payload = self.payload.as_ref();
+        let mut inner = Vec::with_capacity(INNER_HEADER + payload.len());
         inner.push(self.kind.to_byte());
         inner.extend_from_slice(&self.ts.to_le_bytes());
         inner.extend_from_slice(&self.duplicates.to_le_bytes());
         inner.extend_from_slice(&self.gap_events.to_le_bytes());
         inner.extend_from_slice(&self.missing_seqs.to_le_bytes());
-        inner.extend_from_slice(&self.payload);
+        inner.extend_from_slice(payload);
 
         let mut out = Vec::with_capacity(OUTER_HEADER + inner.len());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(&inner).to_le_bytes());
         out.extend_from_slice(&inner);
         out
     }
 }
 
+impl RecordRef<'_> {
+    /// The record with its payload copied out of the buffer.
+    pub fn owned(self) -> Record {
+        Record {
+            kind: self.kind,
+            ts: self.ts,
+            duplicates: self.duplicates,
+            gap_events: self.gap_events,
+            missing_seqs: self.missing_seqs,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
 /// Outcome of decoding one record from a buffer position.
 #[derive(Debug)]
-pub enum Decoded {
+pub enum Decoded<'a> {
     /// A complete, checksum-valid record, and how many bytes it spanned.
-    Record(Record, usize),
+    Record(RecordRef<'a>, usize),
     /// The buffer ends before the record does — a torn tail when it is
     /// the open segment, corruption when the segment is closed.
     Truncated,
 }
 
-/// Decodes the record starting at the beginning of `buf`.
+/// Checks and decodes the record starting at the beginning of `buf`,
+/// borrowing its payload from `buf`.
 ///
 /// # Errors
 ///
@@ -125,7 +163,7 @@ pub enum Decoded {
 /// [`Decoded::Truncated`], not an error — the caller decides whether
 /// truncation is tolerable (open segment) or corruption (closed
 /// segment).
-pub fn decode(buf: &[u8]) -> Result<Decoded, StoreError> {
+pub fn decode(buf: &[u8]) -> Result<Decoded<'_>, StoreError> {
     if buf.len() < OUTER_HEADER + INNER_HEADER {
         return Ok(Decoded::Truncated);
     }
@@ -152,17 +190,20 @@ pub fn decode(buf: &[u8]) -> Result<Decoded, StoreError> {
             duplicates,
             gap_events,
             missing_seqs,
-            payload: inner[INNER_HEADER..].to_vec(),
+            payload: &inner[INNER_HEADER..],
         },
         total,
     ))
 }
 
-/// CRC32 lookup table (IEEE polynomial, reflected), built at compile
-/// time so the implementation needs no dependency and no runtime
-/// initialisation.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 lookup tables (IEEE polynomial, reflected) for slicing-by-16,
+/// built at compile time so the implementation needs no dependency and
+/// no runtime initialisation. `CRC_TABLES[0]` is the classic bytewise
+/// table; `CRC_TABLES[k][b]` is what byte `b` followed by `k` zero
+/// bytes contributes to the CRC register, so one lookup per byte of a
+/// 16-byte block folds the whole block into the running CRC at once.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -175,17 +216,44 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 16 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `bytes` — the checksum zlib, PNG and ethernet use.
+/// Folds 16 bytes per step (slicing-by-16), then the remainder bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    // Four table lookups of one little-endian word, the word's first
+    // byte sitting `k + 3` zero bytes before the end of the block.
+    let lookups = |word: u32, k: usize| {
+        (t[k + 3][(word & 0xFF) as usize] ^ t[k + 2][((word >> 8) & 0xFF) as usize])
+            ^ (t[k + 1][((word >> 16) & 0xFF) as usize] ^ t[k][(word >> 24) as usize])
+    };
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let (blocks, rest) = bytes.as_chunks::<16>();
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for b in blocks {
+        // Only the first word depends on the running CRC; grouping the
+        // other twelve lookups apart keeps the loop-carried chain short.
+        let tail = lookups(word(&b[4..8]), 8)
+            ^ (lookups(word(&b[8..12]), 4) ^ lookups(word(&b[12..16]), 0));
+        c = lookups(c ^ word(&b[0..4]), 12) ^ tail;
+    }
+    for &b in rest {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -193,6 +261,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook bytewise CRC32 the sliced kernel must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
 
     fn sample(kind: RecordKind, payload: &[u8]) -> Record {
         Record {
@@ -224,7 +302,8 @@ mod tests {
             let bytes = record.encode();
             match decode(&bytes).unwrap() {
                 Decoded::Record(back, consumed) => {
-                    assert_eq!(back, record);
+                    assert_eq!(back, record.view());
+                    assert_eq!(back.owned(), record);
                     assert_eq!(consumed, bytes.len());
                 }
                 other => panic!("expected record, got {other:?}"),
@@ -236,7 +315,7 @@ mod tests {
     fn empty_payload_round_trips() {
         let record = sample(RecordKind::Batch, b"");
         let bytes = record.encode();
-        assert!(matches!(decode(&bytes).unwrap(), Decoded::Record(r, _) if r == record));
+        assert!(matches!(decode(&bytes).unwrap(), Decoded::Record(r, _) if r == record.view()));
     }
 
     #[test]
@@ -285,11 +364,42 @@ mod tests {
         let Decoded::Record(first, consumed) = decode(&bytes).unwrap() else {
             panic!("first record truncated");
         };
-        assert_eq!(first, a);
+        assert_eq!(first, a.view());
         let Decoded::Record(second, rest) = decode(&bytes[consumed..]).unwrap() else {
             panic!("second record truncated");
         };
-        assert_eq!(second, b);
+        assert_eq!(second, b.view());
         assert_eq!(consumed + rest, bytes.len());
+    }
+
+    #[test]
+    fn crc32_agrees_with_the_bytewise_reference_at_every_remainder_and_offset() {
+        let bytes: Vec<u8> = (0..96u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=64 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_agrees_with_the_bytewise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+            start in 0usize..16,
+            trim in 0usize..16,
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+            // An unaligned sub-slice with an arbitrary remainder mod 16.
+            let start = start.min(bytes.len());
+            let end = bytes.len().saturating_sub(trim).max(start);
+            let slice = &bytes[start..end];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 }

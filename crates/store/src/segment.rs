@@ -14,7 +14,10 @@
 //! in append order — the exact fold the live writer performed — and
 //! snapshots *replace* the running state with their stored payload.
 //! Byte-identity of recovery, time travel and compaction all reduce to
-//! this single code path.
+//! this single code path. [`TailFold`] drives it from the newest
+//! snapshot: since a snapshot replaces everything folded before it,
+//! the records before it are checked (by the decoders here) and
+//! counted, but never folded.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -23,9 +26,10 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use qrn_core::IncidentClassification;
+use qrn_fleet::event::fastpath::{parse_line_hybrid, ParsedLine};
 use qrn_fleet::ingest::{ingest_str, FleetState};
 
-use crate::record::{decode, Decoded, Record, RecordKind, MAGIC};
+use crate::record::{decode, Decoded, Record, RecordKind, RecordRef, MAGIC};
 use crate::StoreError;
 
 /// File name of the open (appending) segment.
@@ -80,14 +84,15 @@ pub fn list_closed(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
 }
 
 /// Decodes a *closed* segment strictly: the magic must match and every
-/// byte must belong to a checksum-valid record.
+/// byte must belong to a checksum-valid record. The records borrow their
+/// payloads from `bytes`.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Corrupt`] for a bad magic, a damaged record or
 /// a truncated file — closed segments were fully synced before the
 /// rename that closed them, so none of these can be a crash artefact.
-pub fn decode_closed(bytes: &[u8], path: &Path) -> Result<Vec<Record>, StoreError> {
+pub fn decode_closed<'a>(bytes: &'a [u8], path: &Path) -> Result<Vec<RecordRef<'a>>, StoreError> {
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(StoreError::Corrupt(format!(
             "{} does not start with the segment magic",
@@ -122,9 +127,9 @@ pub fn decode_closed(bytes: &[u8], path: &Path) -> Result<Vec<Record>, StoreErro
 
 /// Outcome of tolerantly scanning the open segment.
 #[derive(Debug)]
-pub struct OpenScan {
-    /// The checksum-valid record prefix.
-    pub records: Vec<Record>,
+pub struct OpenScan<'a> {
+    /// The checksum-valid record prefix, borrowed from the scanned bytes.
+    pub records: Vec<RecordRef<'a>>,
     /// Byte length of the valid prefix (magic included). Anything past
     /// this is the torn tail; the writer truncates to this length on
     /// reopen.
@@ -144,7 +149,7 @@ pub struct OpenScan {
 /// Returns [`StoreError::Corrupt`] only when the file is long enough to
 /// hold the magic but holds *different* bytes — that is never a crash
 /// artefact of this store and must not be silently overwritten.
-pub fn scan_open(bytes: &[u8], path: &Path) -> Result<OpenScan, StoreError> {
+pub fn scan_open<'a>(bytes: &'a [u8], path: &Path) -> Result<OpenScan<'a>, StoreError> {
     if bytes.len() < MAGIC.len() {
         return Ok(OpenScan {
             records: Vec::new(),
@@ -307,32 +312,38 @@ impl ReplayState {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Corrupt`] for a snapshot payload that does
-    /// not parse, and propagates fleet errors from batch ingestion.
+    /// Returns [`StoreError::Corrupt`] for a batch payload that is not
+    /// UTF-8 or a snapshot payload that does not parse, and propagates
+    /// fleet errors from batch ingestion.
     pub fn apply(
         &mut self,
-        record: &Record,
+        record: RecordRef<'_>,
         classification: &IncidentClassification,
         shards: usize,
     ) -> Result<(), StoreError> {
         match record.kind {
             RecordKind::Batch => {
-                let text = std::str::from_utf8(&record.payload).map_err(|_| {
-                    StoreError::Corrupt("batch payload is not valid UTF-8".to_string())
-                })?;
+                let text = batch_text(record.payload)?;
                 let segment = ingest_str(text, classification, shards)?;
                 self.events_since_snapshot += segment.events();
                 self.state.merge(&segment);
                 // The stored text is the *screened* batch: surviving
                 // sequenced lines carry strictly increasing seqs per
                 // vehicle, so walking them rebuilds the exact cursors.
+                // The hybrid parser yields the same (vehicle, seq) as
+                // the tolerant one and borrows the id, so a known
+                // vehicle costs no allocation.
                 for line in text.lines() {
-                    if let Ok(Some((event, Some(seq)))) =
-                        qrn_fleet::event::parse_line_with_seq(line)
-                    {
-                        let cursor = self.cursors.entry(event.vehicle().to_string()).or_insert(0);
-                        if seq > *cursor {
-                            *cursor = seq;
+                    let parsed = parse_line_hybrid(line);
+                    let (vehicle, seq) = match &parsed {
+                        ParsedLine::Fast(event, Some(seq), _) => (event.vehicle(), *seq),
+                        ParsedLine::Owned(event, Some(seq), _) => (event.vehicle(), *seq),
+                        _ => continue,
+                    };
+                    match self.cursors.get_mut(vehicle) {
+                        Some(cursor) => *cursor = (*cursor).max(seq),
+                        None => {
+                            self.cursors.insert(vehicle.to_string(), seq);
                         }
                     }
                 }
@@ -342,7 +353,7 @@ impl ReplayState {
                 self.batches += 1;
             }
             RecordKind::Snapshot => {
-                let text = std::str::from_utf8(&record.payload).map_err(|_| {
+                let text = std::str::from_utf8(record.payload).map_err(|_| {
                     StoreError::Corrupt("snapshot payload is not valid UTF-8".to_string())
                 })?;
                 let payload: SnapshotPayload = serde_json::from_str(text).map_err(|e| {
@@ -359,6 +370,156 @@ impl ReplayState {
         }
         self.last_ts = self.last_ts.max(record.ts);
         Ok(())
+    }
+}
+
+/// A batch record's payload as the JSONL text it must be.
+///
+/// # Errors
+///
+/// Returns [`StoreError::Corrupt`] when the payload is not UTF-8.
+pub(crate) fn batch_text(payload: &[u8]) -> Result<&str, StoreError> {
+    std::str::from_utf8(payload)
+        .map_err(|_| StoreError::Corrupt("batch payload is not valid UTF-8".to_string()))
+}
+
+/// What a fold from the newest snapshot can need of one segment: its
+/// records from the segment's newest snapshot on, or all of them when
+/// it holds none, copied out of the segment buffer. The records before
+/// that snapshot are only counted.
+#[derive(Debug, Default)]
+pub(crate) struct SegmentTail {
+    /// The copied records, oldest first.
+    records: Vec<Record>,
+    /// Whether `records` starts with a snapshot.
+    from_snapshot: bool,
+    /// Batch records in the segment, copied or not.
+    batches: u64,
+    /// Snapshot records in the segment, copied or not.
+    snapshots: u64,
+}
+
+impl SegmentTail {
+    /// The tail of one segment's checked records.
+    pub(crate) fn of(records: &[RecordRef<'_>]) -> SegmentTail {
+        let snapshots = records
+            .iter()
+            .filter(|r| r.kind == RecordKind::Snapshot)
+            .count() as u64;
+        let newest = records.iter().rposition(|r| r.kind == RecordKind::Snapshot);
+        SegmentTail {
+            records: records[newest.unwrap_or(0)..]
+                .iter()
+                .map(|r| r.owned())
+                .collect(),
+            from_snapshot: newest.is_some(),
+            batches: records.len() as u64 - snapshots,
+            snapshots,
+        }
+    }
+}
+
+/// A [`ReplayState`] fold that starts at the newest snapshot.
+///
+/// Segments are offered in log order as [`SegmentTail`]s of checked
+/// records (the decoders above have checksummed every one of them). A
+/// snapshot replaces all state folded before it, so the fold holds the
+/// newest snapshot's tail back and folds it only once a later segment
+/// without a snapshot shows that nothing will replace it, or at
+/// [`TailFold::finish`]. Everything before that snapshot is counted,
+/// never folded.
+#[derive(Debug, Default)]
+pub(crate) struct TailFold {
+    /// The fold of the records before `pending`.
+    replay: ReplayState,
+    /// The newest snapshot offered so far and the records after it in
+    /// its segment, not folded yet.
+    pending: Vec<Record>,
+    /// Batch records offered, folded or not.
+    batches: u64,
+    /// Snapshot records offered, folded or not.
+    snapshots: u64,
+}
+
+impl TailFold {
+    /// Continues the fold from `replay`, whose batch and snapshot counts
+    /// are taken as records already offered.
+    pub(crate) fn resume(replay: ReplayState) -> TailFold {
+        TailFold {
+            batches: replay.batches,
+            snapshots: replay.snapshots,
+            replay,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Offers the next segment's tail, in log order.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayState::apply`] for every record this folds.
+    pub(crate) fn push(
+        &mut self,
+        tail: SegmentTail,
+        classification: &IncidentClassification,
+        shards: usize,
+    ) -> Result<(), StoreError> {
+        self.batches += tail.batches;
+        self.snapshots += tail.snapshots;
+        if tail.from_snapshot {
+            self.replay = ReplayState::default();
+            self.pending = tail.records;
+        } else if !tail.records.is_empty() {
+            self.flush(classification, shards)?;
+            for record in &tail.records {
+                self.replay.apply(record.view(), classification, shards)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn flush(
+        &mut self,
+        classification: &IncidentClassification,
+        shards: usize,
+    ) -> Result<(), StoreError> {
+        for record in std::mem::take(&mut self.pending) {
+            self.replay.apply(record.view(), classification, shards)?;
+        }
+        Ok(())
+    }
+
+    /// The fold as of the last record offered. Its batch and snapshot
+    /// counts are the records actually folded.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayState::apply`].
+    pub(crate) fn finish(
+        mut self,
+        classification: &IncidentClassification,
+        shards: usize,
+    ) -> Result<ReplayState, StoreError> {
+        self.flush(classification, shards)?;
+        Ok(self.replay)
+    }
+
+    /// As [`TailFold::finish`], but counting every record offered — the
+    /// tallies a full sequential replay reports.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayState::apply`].
+    pub(crate) fn finish_counting_all(
+        self,
+        classification: &IncidentClassification,
+        shards: usize,
+    ) -> Result<ReplayState, StoreError> {
+        let (batches, snapshots) = (self.batches, self.snapshots);
+        let mut replay = self.finish(classification, shards)?;
+        replay.batches = batches;
+        replay.snapshots = snapshots;
+        Ok(replay)
     }
 }
 
@@ -388,7 +549,7 @@ mod tests {
         };
         let mut replay = ReplayState::default();
         replay
-            .apply(&batch, &paper_classification().unwrap(), 1)
+            .apply(batch.view(), &paper_classification().unwrap(), 1)
             .unwrap();
         let view = replay.snapshot_view();
         let owned = SnapshotPayload {

@@ -47,10 +47,10 @@ use qrn_fleet::checkpoint::fsync_dir;
 use qrn_fleet::event::fastpath::{parse_line_hybrid, ParsedLine};
 use qrn_fleet::ingest::{ingest_str, FleetState};
 
-use crate::record::{Record, RecordKind, MAGIC};
+use crate::record::{Record, RecordKind, RecordRef, MAGIC};
 use crate::segment::{
-    closed_segment_name, decode_closed, list_closed, scan_open, ReplayState, SnapshotPayload,
-    OPEN_SEGMENT,
+    batch_text, closed_segment_name, decode_closed, list_closed, scan_open, ReplayState,
+    SegmentTail, SnapshotPayload, TailFold, OPEN_SEGMENT,
 };
 use crate::StoreError;
 
@@ -263,6 +263,12 @@ impl Store {
     /// recover the live replica: closed segments strictly, the open
     /// segment tolerantly with its torn tail (if any) truncated away.
     ///
+    /// Recovery checks every record (checksum, kind, and UTF-8 for batch
+    /// payloads) but folds only from the newest snapshot: once for the
+    /// closed segments, whose state is the sealed boundary compaction
+    /// writes, and then on into the open segment. It reads one segment
+    /// at a time.
+    ///
     /// # Errors
     ///
     /// Returns [`StoreError::Config`] for an invalid configuration or a
@@ -280,15 +286,16 @@ impl Store {
             .map_err(|e| StoreError::Io(format!("cannot create {}: {e}", dir.display())))?;
         let lock = acquire_lock(dir)?;
 
+        let shards = config.parse_shards;
         let closed = list_closed(dir)?;
-        let mut replay = ReplayState::default();
+        let mut fold = TailFold::default();
         let mut appended_bytes = 0u64;
         for (_, path) in &closed {
             let bytes = fs::read(path)
                 .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
-            for record in decode_closed(&bytes, path)? {
-                replay.apply(&record, &classification, config.parse_shards)?;
-            }
+            let records = decode_closed(&bytes, path)?;
+            check_batch_texts(&records)?;
+            fold.push(SegmentTail::of(&records), &classification, shards)?;
             // Accounted only after decode_closed validated the segment,
             // so a short corrupt file reports Corrupt instead of
             // underflowing the tally.
@@ -296,6 +303,7 @@ impl Store {
         }
         // The sealed boundary is the state the *closed* segments replay
         // to — captured before the open segment's records are folded.
+        let replay = fold.finish_counting_all(&classification, shards)?;
         let sealed = SealedBoundary {
             payload: replay.snapshot_view().to_owned(),
             ts: replay.last_ts,
@@ -307,6 +315,7 @@ impl Store {
 
         let open_path = dir.join(OPEN_SEGMENT);
         let mut open_bytes = MAGIC.len() as u64;
+        let mut fold = TailFold::resume(replay);
         if open_path.exists() {
             let bytes = fs::read(&open_path)
                 .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", open_path.display())))?;
@@ -335,12 +344,12 @@ impl Store {
                 open_bytes = scan.valid_len;
                 appended_bytes += scan.valid_len - MAGIC.len() as u64;
             }
-            for record in &scan.records {
-                replay.apply(record, &classification, config.parse_shards)?;
-            }
+            check_batch_texts(&scan.records)?;
+            fold.push(SegmentTail::of(&scan.records), &classification, shards)?;
         } else {
             write_fresh_segment(&open_path)?;
         }
+        let replay = fold.finish_counting_all(&classification, shards)?;
         let open_file = fs::OpenOptions::new()
             .append(true)
             .open(&open_path)
@@ -534,7 +543,7 @@ impl Store {
 
     /// Writes a snapshot record of the current cumulative state. Called
     /// on cadence by [`Store::append_batch`]; also useful before a
-    /// planned shutdown to make the next open O(tail).
+    /// planned shutdown, so the next open folds from it.
     ///
     /// # Errors
     ///
@@ -662,6 +671,18 @@ impl Store {
         self.compactions += 1;
         Ok(())
     }
+}
+
+/// Checks that every batch payload of `records` is UTF-8 text, folded
+/// or not: recovery must refuse a damaged store even where the newest
+/// snapshot spares it the fold.
+fn check_batch_texts(records: &[RecordRef<'_>]) -> Result<(), StoreError> {
+    for record in records {
+        if record.kind == RecordKind::Batch {
+            batch_text(record.payload)?;
+        }
+    }
+    Ok(())
 }
 
 /// Takes the exclusive advisory writer lock on `dir`'s [`LOCK_FILE`].
@@ -851,10 +872,14 @@ mod tests {
         assert_eq!(store.status().closed_segments, 3);
         assert!(dir.join(closed_segment_name(3)).exists());
         let live = serde_json::to_string(store.state()).unwrap();
+        let live_status = store.status();
         drop(store);
+        // No snapshot to start from: recovery folds every record.
         let store = open(&dir, config);
         assert_eq!(serde_json::to_string(store.state()).unwrap(), live);
-        assert_eq!(store.status().closed_segments, 3);
+        assert_eq!(store.status(), live_status);
+        assert_eq!(store.status().batches, 3);
+        assert_eq!(store.status().snapshots, 0);
     }
 
     #[test]

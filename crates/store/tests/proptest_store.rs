@@ -9,7 +9,10 @@
 //! * **`as_of` ≡ offline prefix** — the time-travelled state at T
 //!   equals the batch-wise fold of exactly the batches with ts ≤ T, and
 //!   equals a one-shot offline ingest of the accepted (screened) log
-//!   prefix.
+//!   prefix;
+//! * **recovery ≡ live** — a reopened store, which folds only from the
+//!   newest snapshot, reports the live store's state, cursors and
+//!   counters, also after appending to a reopened store.
 //!
 //! Hours are dyadic (multiples of 0.25 h, as the telemetry layer
 //! emits), so every floating-point sum in play is exact and
@@ -24,7 +27,7 @@ use qrn_core::incident::IncidentRecord;
 use qrn_core::object::{Involvement, ObjectType};
 use qrn_fleet::event::FleetEvent;
 use qrn_fleet::ingest::{fold_states, ingest_str, FleetState};
-use qrn_store::{Store, StoreConfig, StoreReader};
+use qrn_store::{Store, StoreConfig, StoreReader, StoreStatus};
 use qrn_units::{Hours, Speed};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -36,6 +39,20 @@ fn temp_dir() -> std::path::PathBuf {
 
 fn json(state: &FleetState) -> String {
     serde_json::to_string(state).unwrap()
+}
+
+/// The counters recovery re-derives from disk (the others count this
+/// process's own rolls, compactions and appends).
+fn recovered(status: StoreStatus) -> [u64; 7] {
+    [
+        status.batches,
+        status.snapshots,
+        status.duplicates,
+        status.gap_events,
+        status.missing_seqs,
+        status.last_ts,
+        status.closed_segments,
+    ]
 }
 
 /// Renders the generated events as sequenced JSONL lines, injecting a
@@ -132,6 +149,7 @@ proptest! {
         }
         let live = json(store.state());
         let live_cursors = store.cursors().clone();
+        let live_status = recovered(store.status());
 
         // Screening actually fired: the injected duplicates were all
         // rejected.
@@ -149,11 +167,13 @@ proptest! {
         prop_assert_eq!(&fast.cursors, &live_cursors);
         prop_assert_eq!(&full.cursors, &live_cursors);
 
-        // Reopen ≡ live: restart recovery replays to the same bytes.
+        // Reopen ≡ live: restart recovery replays to the same bytes and
+        // the same counters, with or without snapshots to start from.
         drop(store);
         let mut store = Store::open(&dir, classification.clone(), config).unwrap();
         prop_assert_eq!(&json(store.state()), &live);
         prop_assert_eq!(store.cursors(), &live_cursors);
+        prop_assert_eq!(recovered(store.status()), live_status);
 
         // Time travel: as_of each batch timestamp ≡ the batch-wise fold
         // of the receipts up to it.
@@ -187,6 +207,21 @@ proptest! {
         prop_assert_eq!(store.cursors(), &live_cursors);
         let report = reader.verify().unwrap();
         prop_assert!(report.ok(), "{:?}", report.mismatches);
+
+        // Reopen → append → reopen: the appended store recovers to its
+        // own live bytes and counters.
+        let mut store = store;
+        let extra = render_lines(&events[..events.len().min(8)], incident_stride, dup_stride, gap_stride);
+        let next_ts = timestamps.last().unwrap() + 1_000;
+        store.append_batch(&(extra.join("\n") + "\n"), next_ts).unwrap();
+        let appended = json(store.state());
+        let appended_cursors = store.cursors().clone();
+        let appended_status = recovered(store.status());
+        drop(store);
+        let store = Store::open(&dir, classification.clone(), config).unwrap();
+        prop_assert_eq!(&json(store.state()), &appended);
+        prop_assert_eq!(store.cursors(), &appended_cursors);
+        prop_assert_eq!(recovered(store.status()), appended_status);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -173,7 +173,6 @@ fn timed_store_ingest(group_commit: usize, clients: usize, posts_per_client: usi
     config.workers = clients;
     config.queue_depth = clients * 4;
     config.shards = 1;
-    config.state_shards = 1;
     config.store = Some(dir.clone());
     config.store_group_commit = group_commit;
     let handle = Server::start(config).expect("bind 127.0.0.1:0");

@@ -5,7 +5,8 @@
 //! After the criterion groups run, the harness writes the machine-local
 //! perf baseline `results/BENCH_store.json`: append rate, `as_of`
 //! replay cost and `Store::open` recovery time for a store that never
-//! snapshots versus one that snapshots every 512 events, with the
+//! snapshots versus one that snapshots every 512 events, the
+//! mid-history `as_of` fold read on one and on two workers, and the
 //! command that produced it. The *timings* are machine-local; the
 //! structural claims are not, and are asserted here: both stores fold
 //! to byte-identical fleet states, and the snapshotted store answers
@@ -136,12 +137,28 @@ struct Timed {
     fold_secs: f64,
     open_secs: f64,
     records_folded: u64,
+    /// Median `as_of` fold at the middle batch, on 1 and on 2 workers.
+    mid_fold_secs: [f64; 2],
     state: String,
 }
 
+/// Median seconds of `runs` calls of `f`.
+fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
+    let mut secs: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[runs / 2]
+}
+
 /// Builds a store with the given snapshot cadence from `batches`, then
-/// times one `as_of` fold at the newest batch and one `Store::open`
-/// recovery, and keeps the folded state's canonical JSON.
+/// times one `as_of` fold at the newest batch, the median `as_of` fold
+/// at the middle batch on one and on two reader workers, and one
+/// `Store::open` recovery, and keeps the folded state's canonical JSON.
 fn timed_store(snapshot_every_events: u64, batches: &[String]) -> Timed {
     let dir = temp_dir(&format!("baseline-{snapshot_every_events}"));
     let classification = paper_classification().expect("paper example");
@@ -159,6 +176,12 @@ fn timed_store(snapshot_every_events: u64, batches: &[String]) -> Timed {
     let start = Instant::now();
     let summary = reader.fold_as_of(Some(last_ts)).expect("fold");
     let fold_secs = start.elapsed().as_secs_f64();
+    let mid_fold_secs = [1, 2].map(|shards| {
+        let reader = StoreReader::open(&dir, classification.clone(), shards).expect("reader opens");
+        median_secs(21, || {
+            black_box(reader.fold_as_of(Some(last_ts / 2)).expect("fold"));
+        })
+    });
     let start = Instant::now();
     let store = Store::open(&dir, classification, store_config(snapshot_every_events))
         .expect("store reopens");
@@ -176,6 +199,7 @@ fn timed_store(snapshot_every_events: u64, batches: &[String]) -> Timed {
         fold_secs,
         open_secs,
         records_folded: summary.records,
+        mid_fold_secs,
         state,
     }
 }
@@ -198,9 +222,11 @@ fn emit_store_baseline() {
     for snapshot_every in [0u64, 512] {
         let timed = timed_store(snapshot_every, &batches);
         let append_rate = events as f64 / timed.append_secs;
+        let [mid_1, mid_2] = timed.mid_fold_secs.map(|secs| secs * 1e3);
         println!(
             "store/baseline snapshot_every={snapshot_every}: {append_rate:.0} events/s appended, \
-             as_of fold {:.2} ms over {} record(s), open {:.2} ms",
+             as_of fold {:.2} ms over {} record(s), mid-history as_of {mid_1:.2} ms on 1 \
+             worker and {mid_2:.2} ms on 2, open {:.2} ms",
             timed.fold_secs * 1e3,
             timed.records_folded,
             timed.open_secs * 1e3,
@@ -210,6 +236,8 @@ fn emit_store_baseline() {
             "append_events_per_second": append_rate,
             "as_of_fold_millis": timed.fold_secs * 1e3,
             "as_of_records_folded": timed.records_folded,
+            "as_of_mid_millis_1_shard": mid_1,
+            "as_of_mid_millis_2_shards": mid_2,
             "open_millis": timed.open_secs * 1e3,
         }));
         folded_records.push(timed.records_folded);
@@ -229,7 +257,8 @@ fn emit_store_baseline() {
             "quick": quick(),
             "command": command,
             "baseline": rows,
-            "note": "durable append rate, as_of replay cost and Store::open recovery time \
+            "note": "durable append rate, as_of replay cost (at the newest batch, and at the \
+                     middle batch read on 1 and 2 workers) and Store::open recovery time \
                      without vs with snapshot records; timings are machine-local, but the \
                      snapshotted store must fold strictly fewer records for the same query \
                      and both must fold, and recover, to byte-identical states",

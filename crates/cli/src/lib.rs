@@ -251,7 +251,7 @@ COMMANDS:
           [--item <name>=<norm.json>,<classification.json>,<allocation.json>]...
           [--bind <addr>] [--port <P>] [--workers <N>] [--queue-depth <N>]
           [--max-body-bytes <B>] [--io-timeout-secs <S>] [--shards <N>]
-          [--state-shards <N>] [--checkpoint <state.json>]
+          [--checkpoint <state.json>]
           [--checkpoint-every <N>] [--store <DIR>]
           [--store-snapshot-every <EVENTS>] [--store-roll-bytes <B>]
           [--store-compact-after <SEGMENTS>]
@@ -274,9 +274,7 @@ COMMANDS:
         checkpoint file. Burn-downs and scrapes read totals each item
         publishes after every segment, so a query costs the same at any
         fleet size; checkpoints stay byte-identical to `fleet ingest` of
-        the same segments offline. --state-shards is accepted for
-        compatibility and no longer changes the layout (each item keeps
-        one vehicle map). With --checkpoint
+        the same segments offline. With --checkpoint
         the state is resumed at start and atomically checkpointed every
         --checkpoint-every segments (default 1). With --store every
         accepted segment is first appended — durably, screened for

@@ -88,9 +88,6 @@ pub fn run(
     if let Some(text) = flag(rest, "--shards") {
         config.shards = parse_int(text, "--shards")?;
     }
-    if let Some(text) = flag(rest, "--state-shards") {
-        config.state_shards = parse_int(text, "--state-shards")?;
-    }
     if let Some(text) = flag(rest, "--checkpoint") {
         config.checkpoint = Some(PathBuf::from(text));
     }

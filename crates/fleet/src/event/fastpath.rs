@@ -52,9 +52,9 @@ pub enum FastEvent<'a> {
     },
 }
 
-impl FastEvent<'_> {
-    /// The reporting vehicle's id.
-    pub fn vehicle(&self) -> &str {
+impl<'a> FastEvent<'a> {
+    /// The reporting vehicle's id, borrowed from the line.
+    pub fn vehicle(&self) -> &'a str {
         match self {
             FastEvent::Exposure { vehicle, .. } | FastEvent::Incident { vehicle, .. } => vehicle,
         }

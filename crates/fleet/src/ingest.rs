@@ -13,6 +13,10 @@
 //! scheduling), the merged [`FleetState`] — including its floating-point
 //! exposure sums — is byte-identical for any number of shards.
 //!
+//! The calling thread is one of the shards, and a text of one block (or
+//! one shard) is folded on it alone: a 256-line store batch or a small
+//! upload spawns no thread.
+//!
 //! Memory is O(vehicles + incident types + shards·block): raw events are
 //! never materialised for the whole log, so a log of a billion lines
 //! streams through a fixed-size working set per shard.
@@ -464,39 +468,41 @@ pub fn ingest_str_with_scratch(
     let blocks = spans.len().div_ceil(LINES_PER_BLOCK).max(1) as u64;
 
     let queue = AtomicU64::new(0);
+    let spans: &[(usize, usize)] = spans;
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            let block = queue.fetch_add(1, Ordering::Relaxed);
+            if block >= blocks {
+                return local;
+            }
+            let first = block as usize * LINES_PER_BLOCK;
+            let last = (first + LINES_PER_BLOCK).min(spans.len());
+            let mut acc = ShardAccumulator::default();
+            for &(start, end) in &spans[first..last] {
+                acc.absorb_line(&text[start..end], classification);
+            }
+            local.push((block, acc));
+        }
+    };
+    // A thread spawn costs about as much as folding a block, and most
+    // texts (store replay batches, live uploads) are a single block.
     let workers = shards.min(blocks as usize);
-    let shard_outputs: Vec<Vec<(u64, ShardAccumulator)>> = std::thread::scope(|scope| {
-        let spans: &[(usize, usize)] = spans;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let block = queue.fetch_add(1, Ordering::Relaxed);
-                        if block >= blocks {
-                            break;
-                        }
-                        let first = block as usize * LINES_PER_BLOCK;
-                        let last = (first + LINES_PER_BLOCK).min(spans.len());
-                        let mut acc = ShardAccumulator::default();
-                        for &(start, end) in &spans[first..last] {
-                            acc.absorb_line(&text[start..end], classification);
-                        }
-                        local.push((block, acc));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest shard panicked"))
-            .collect()
-    });
+    let mut partials: Vec<(u64, ShardAccumulator)> = if workers == 1 {
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut partials = worker();
+            for helper in helpers {
+                partials.extend(helper.join().expect("ingest shard panicked"));
+            }
+            partials
+        })
+    };
 
     // The reduce: ascending block order restores the sequential fold
     // regardless of which shard parsed which block.
-    let mut partials: Vec<(u64, ShardAccumulator)> = shard_outputs.into_iter().flatten().collect();
     partials.sort_unstable_by_key(|(block, _)| *block);
     Ok(fold_states(
         partials.into_iter().map(|(_, partial)| partial.state),
@@ -582,6 +588,35 @@ mod tests {
                 serde_json::to_string(&other).unwrap(),
                 "shards={shards}"
             );
+        }
+    }
+
+    /// Texts on both sides of the one-block boundary, where ingestion
+    /// switches between the calling thread and spawned shards, fold to
+    /// the same bytes for every shard count.
+    #[test]
+    fn block_boundaries_fold_identically_inline_and_spawned() {
+        let classification = paper_classification().unwrap();
+        let log = sample_log(3, 400);
+        let lines: Vec<&str> = log.lines().collect();
+        let mut texts: Vec<String> = [0, 1, 511, 512, 513, 1025]
+            .iter()
+            .map(|&n| lines[..n].iter().map(|line| format!("{line}\n")).collect())
+            .collect();
+        texts.push("\n".repeat(513));
+        texts.push("\n \n".repeat(300) + &lines[..7].join("\n"));
+        for text in &texts {
+            let reference =
+                serde_json::to_string(&ingest_str(text, &classification, 1).unwrap()).unwrap();
+            for shards in 2..=4 {
+                let other = ingest_str(text, &classification, shards).unwrap();
+                assert_eq!(
+                    serde_json::to_string(&other).unwrap(),
+                    reference,
+                    "lines={} shards={shards}",
+                    text.lines().count()
+                );
+            }
         }
     }
 

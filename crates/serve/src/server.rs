@@ -172,12 +172,6 @@ pub struct ServeConfig {
     pub io_timeout: Duration,
     /// Parse shard count for each uploaded segment (see [`ingest_str`]).
     pub shards: usize,
-    /// Live-state shard setting (`--state-shards`), validated to be at
-    /// least 1. Each item's live state keeps one vehicle map whatever
-    /// its value: vehicle shards bought no ingest throughput (DESIGN
-    /// §12), and the setting stays so existing configurations and
-    /// scripts keep working.
-    pub state_shards: usize,
     /// Base checkpoint file; each item's state is resumed from its
     /// per-item path at start and atomically rewritten during operation
     /// and at shutdown.
@@ -213,7 +207,7 @@ impl ServeConfig {
     /// A configuration serving one item named [`DEFAULT_ITEM`], with
     /// production-shaped defaults: loopback bind, port 7878, 4 workers,
     /// queue depth 64, 4 MiB body cap, 10 s socket timeouts, checkpoint
-    /// after every segment, `state_shards` at the available core count.
+    /// after every segment, `shards` at the available core count.
     pub fn new(
         norm: QuantitativeRiskNorm,
         classification: IncidentClassification,
@@ -237,7 +231,6 @@ impl ServeConfig {
             max_body_bytes: 4 * 1024 * 1024,
             io_timeout: Duration::from_secs(10),
             shards: parallelism,
-            state_shards: parallelism,
             checkpoint: None,
             checkpoint_every: 1,
             burndown: BurnDownConfig::default(),
@@ -293,9 +286,6 @@ impl ServeConfig {
         }
         if self.shards == 0 {
             return Err(ServeError::Config("shards must be at least 1".into()));
-        }
-        if self.state_shards == 0 {
-            return Err(ServeError::Config("state shards must be at least 1".into()));
         }
         if self.store.is_some() && self.store_roll_bytes == 0 {
             return Err(ServeError::Config(
@@ -1004,7 +994,7 @@ impl Server {
                 ),
                 (None, None) => (FleetState::default(), None),
             };
-            let state = Arc::new(ShardedState::new(config.state_shards, fleet));
+            let state = Arc::new(ShardedState::new(1, fleet));
             if let Some(store) = opened_store {
                 // The append hook runs on the writer thread before each
                 // append is acknowledged, so live merges happen one at a
@@ -1204,7 +1194,6 @@ mod tests {
         config.workers = 2;
         config.io_timeout = Duration::from_secs(2);
         config.shards = 2;
-        config.state_shards = 2;
         config
     }
 
@@ -1664,7 +1653,6 @@ mod tests {
             |c| c.max_body_bytes = 0,
             |c| c.checkpoint_every = 0,
             |c| c.shards = 0,
-            |c| c.state_shards = 0,
             |c| c.bind = String::new(),
             |c| c.items.clear(),
             |c| c.items[0].name = String::new(),

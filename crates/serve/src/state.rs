@@ -59,15 +59,9 @@ impl ShardedState {
     /// Creates the live state seeded with `resume` (a checkpointed or
     /// recovered state, or [`FleetState::default`] for a fresh server):
     /// its totals are published as they are and its vehicles move into
-    /// the map. `shard_count` is the `--state-shards` setting; the state
-    /// keeps one vehicle map whatever its value.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_count` is zero (configs validate this before
-    /// construction).
-    pub fn new(shard_count: usize, resume: FleetState) -> Self {
-        assert!(shard_count >= 1, "shard count must be at least 1");
+    /// the map. `_shard_count` is ignored: the state keeps one vehicle
+    /// map (see the module docs).
+    pub fn new(_shard_count: usize, resume: FleetState) -> Self {
         let (totals, vehicles) = resume.into_parts();
         ShardedState {
             vehicles: Mutex::new(vehicles),

@@ -9,7 +9,8 @@
 //! fsynced records (a partially-visible append looks like a torn tail
 //! and is simply not folded), and the one genuine race — a roll or
 //! compaction renaming files between the directory listing and the
-//! reads — is absorbed by one re-list retry.
+//! reads — is caught by listing the closed segments again after the
+//! reads, and absorbed by one retry.
 //!
 //! # Time travel
 //!
@@ -18,7 +19,8 @@
 //! [`StoreReader::fold_as_of`] starts from the newest snapshot at or
 //! before T — a snapshot is the serialised intermediate of the same
 //! fold, so this is a pure fast path — and replays only the batch tail
-//! after it, batch-by-batch in append order. The result is
+//! after it: the tail's batches are parsed on the reader's `shards`
+//! workers and merged batch-by-batch in append order. The result is
 //! byte-identical to folding the whole prefix from scratch, floats
 //! included (enforced by this crate's property tests).
 //!
@@ -31,8 +33,6 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 use serde::Serialize;
 
@@ -42,8 +42,8 @@ use qrn_stats::evidence::EvidenceLedger;
 
 use crate::record::{Record, RecordKind, RecordRef};
 use crate::segment::{
-    batch_text, decode_closed, list_closed, scan_open, ReplayState, SegmentTail, SnapshotPayload,
-    TailFold, OPEN_SEGMENT,
+    batch_text, decode_closed, list_closed, par_map, scan_open, ReplayState, SegmentTail,
+    SnapshotPayload, TailFold, OPEN_SEGMENT,
 };
 use crate::StoreError;
 
@@ -364,8 +364,12 @@ impl StoreReader {
     /// segment's bytes at a time.
     ///
     /// Retries once: a roll renames `open.seg` between listing and
-    /// reading, a compaction deletes just-listed segments — both surface
-    /// as read/decode failures that a fresh listing resolves.
+    /// reading, a compaction deletes just-listed segments. A roll can
+    /// also leave every read succeeding — the stale listing lacks the
+    /// just-closed segment and the fresh `open.seg` is empty — so the
+    /// closed segments are listed again after the reads, and a changed
+    /// listing fails the attempt. Both resolve on a fresh listing; a
+    /// second failure is returned.
     fn map_segments<T: Send>(
         &self,
         each: impl Fn(&str, u64, &[RecordRef<'_>]) -> Result<T, StoreError> + Sync,
@@ -378,14 +382,19 @@ impl StoreReader {
         &self,
         each: &(impl Fn(&str, u64, &[RecordRef<'_>]) -> Result<T, StoreError> + Sync),
     ) -> Result<(Vec<T>, u64), StoreError> {
-        let mut paths: Vec<PathBuf> = list_closed(&self.dir)?
-            .into_iter()
-            .map(|(_, path)| path)
-            .collect();
-        paths.push(self.dir.join(OPEN_SEGMENT));
+        let closed = list_closed(&self.dir)?;
+        #[cfg(test)]
+        tests::AFTER_LISTING.with(|hook| {
+            if let Some(hook) = hook.borrow_mut().as_mut() {
+                hook();
+            }
+        });
+        let mut paths: Vec<&Path> = closed.iter().map(|(_, path)| path.as_path()).collect();
+        let open_path = self.dir.join(OPEN_SEGMENT);
+        paths.push(&open_path);
         let open = paths.len() - 1;
         let segment = |index: usize| -> Visited<T> {
-            let path = &paths[index];
+            let path = paths[index];
             let bytes = match fs::read(path) {
                 Ok(bytes) => bytes,
                 // The open segment may be missing mid-roll; its records
@@ -416,34 +425,20 @@ impl StoreReader {
                 .unwrap_or_default();
             Ok(Some((each(&name, len, &records)?, 0)))
         };
-        let workers = self.shards.min(paths.len());
-        let next = AtomicUsize::new(0);
-        let mut done: Vec<(usize, Visited<T>)> = thread::scope(|scope| {
-            let worker = || {
-                let mut done = Vec::new();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= paths.len() {
-                        return done;
-                    }
-                    done.push((index, segment(index)));
-                }
-            };
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-            let mut done = worker();
-            for helper in helpers {
-                done.extend(helper.join().expect("segment worker panicked"));
-            }
-            done
-        });
-        done.sort_unstable_by_key(|(index, _)| *index);
+        let done = par_map(paths.len(), self.shards, segment);
         let mut results = Vec::with_capacity(done.len());
         let mut torn = 0;
-        for (_, result) in done {
+        for result in done {
             if let Some((value, torn_bytes)) = result? {
                 results.push(value);
                 torn += torn_bytes;
             }
+        }
+        if list_closed(&self.dir)? != closed {
+            return Err(StoreError::Io(format!(
+                "the segments of {} changed while they were read",
+                self.dir.display()
+            )));
         }
         Ok((results, torn))
     }
@@ -536,6 +531,14 @@ mod tests {
     use qrn_fleet::event::FleetEvent;
     use qrn_fleet::ingest::ingest_str;
     use qrn_units::Hours;
+
+    thread_local! {
+        /// Runs on a reading thread between its directory listing and
+        /// its segment reads, so a test can race a roll into that
+        /// window.
+        pub(super) static AFTER_LISTING: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qrn-reader-{tag}-{}", std::process::id()));
@@ -762,6 +765,80 @@ mod tests {
             serde_json::to_string(&offline).unwrap(),
             serde_json::to_string(s.state()).unwrap()
         );
+    }
+
+    /// A `lines`-line batch of quarter-hour exposure for `vehicle`, seqs
+    /// from `first_seq` on.
+    fn batch(vehicle: &str, first_seq: u64, lines: u64) -> String {
+        (first_seq..first_seq + lines)
+            .map(|seq| line(vehicle, 1, seq) + "\n")
+            .collect()
+    }
+
+    #[test]
+    fn a_roll_between_listing_and_reading_never_drops_the_closed_segment() {
+        let dir = temp_dir("roll-race");
+        let config = StoreConfig {
+            roll_bytes: 4096,
+            ..StoreConfig::default()
+        };
+        let mut s = store(&dir, config);
+        for k in 0..3 {
+            s.append_batch(&batch("A", k * 2 + 1, 2), 100 + k).unwrap();
+        }
+        assert_eq!(s.status().closed_segments, 0);
+        // Once, right after the reader listed the directory: a batch
+        // large enough to roll `open.seg` into `seg-00000001.seg`.
+        let mut writer = Some(s);
+        AFTER_LISTING.with(|hook| {
+            *hook.borrow_mut() = Some(Box::new(move || {
+                if let Some(mut s) = writer.take() {
+                    assert!(s.append_batch(&batch("B", 1, 100), 200).unwrap().rolled);
+                }
+            }));
+        });
+        let raced = reader(&dir).fold_as_of(None);
+        AFTER_LISTING.with(|hook| hook.borrow_mut().take());
+        let full = reader(&dir).fold_as_of(None).unwrap();
+        assert_eq!(full.batches, 4);
+        assert!((full.state.exposure().value() - 26.5).abs() < 1e-12);
+        match raced {
+            Err(e) => assert!(matches!(e, StoreError::Io(_)), "{e}"),
+            Ok(raced) => {
+                assert_eq!(
+                    serde_json::to_string(&raced.state).unwrap(),
+                    serde_json::to_string(&full.state).unwrap()
+                );
+                assert_eq!(raced.cursors, full.cursors);
+            }
+        }
+    }
+
+    #[test]
+    fn a_listing_that_changes_on_the_retry_too_is_an_io_error() {
+        let dir = temp_dir("roll-race-twice");
+        let config = StoreConfig {
+            roll_bytes: 1,
+            ..StoreConfig::default()
+        };
+        let mut s = store(&dir, config);
+        s.append_batch(&batch("A", 1, 2), 100).unwrap();
+        // Every listing is followed by a roll.
+        let mut seq = 3;
+        AFTER_LISTING.with(|hook| {
+            *hook.borrow_mut() = Some(Box::new(move || {
+                assert!(s.append_batch(&batch("A", seq, 1), 200).unwrap().rolled);
+                seq += 1;
+            }));
+        });
+        let raced = reader(&dir).fold_as_of(None);
+        AFTER_LISTING.with(|hook| hook.borrow_mut().take());
+        match raced {
+            Err(StoreError::Io(msg)) => assert!(msg.contains("changed"), "{msg}"),
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
+        // Undisturbed, the same store reads in full.
+        assert_eq!(reader(&dir).fold_as_of(None).unwrap().batches, 3);
     }
 
     #[test]

@@ -17,11 +17,17 @@
 //! this single code path. [`TailFold`] drives it from the newest
 //! snapshot: since a snapshot replaces everything folded before it,
 //! the records before it are checked (by the decoders here) and
-//! counted, but never folded.
+//! counted, but never folded. The tail it does fold goes through
+//! [`ReplayState::apply_run`], which parses the tail's batches on the
+//! caller's `shards` workers and merges them on the calling thread in
+//! append order — only the merge is serial.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use serde::{Deserialize, Serialize};
 
@@ -323,34 +329,8 @@ impl ReplayState {
     ) -> Result<(), StoreError> {
         match record.kind {
             RecordKind::Batch => {
-                let text = batch_text(record.payload)?;
-                let segment = ingest_str(text, classification, shards)?;
-                self.events_since_snapshot += segment.events();
-                self.state.merge(&segment);
-                // The stored text is the *screened* batch: surviving
-                // sequenced lines carry strictly increasing seqs per
-                // vehicle, so walking them rebuilds the exact cursors.
-                // The hybrid parser yields the same (vehicle, seq) as
-                // the tolerant one and borrows the id, so a known
-                // vehicle costs no allocation.
-                for line in text.lines() {
-                    let parsed = parse_line_hybrid(line);
-                    let (vehicle, seq) = match &parsed {
-                        ParsedLine::Fast(event, Some(seq), _) => (event.vehicle(), *seq),
-                        ParsedLine::Owned(event, Some(seq), _) => (event.vehicle(), *seq),
-                        _ => continue,
-                    };
-                    match self.cursors.get_mut(vehicle) {
-                        Some(cursor) => *cursor = (*cursor).max(seq),
-                        None => {
-                            self.cursors.insert(vehicle.to_string(), seq);
-                        }
-                    }
-                }
-                self.duplicates += u64::from(record.duplicates);
-                self.gap_events += u64::from(record.gap_events);
-                self.missing_seqs += u64::from(record.missing_seqs);
-                self.batches += 1;
+                let batch = BatchFold::of(record.payload, classification, shards)?;
+                self.absorb(record, batch);
             }
             RecordKind::Snapshot => {
                 let text = std::str::from_utf8(record.payload).map_err(|_| {
@@ -366,11 +346,159 @@ impl ReplayState {
                 self.missing_seqs = payload.missing_seqs;
                 self.snapshots += 1;
                 self.events_since_snapshot = 0;
+                self.last_ts = self.last_ts.max(record.ts);
             }
         }
-        self.last_ts = self.last_ts.max(record.ts);
         Ok(())
     }
+
+    /// Applies `records` in log order, with the result and the error of
+    /// [`ReplayState::apply`] on each in turn: the first failing record
+    /// wins, and the records before it are applied.
+    ///
+    /// Each run of batches between snapshots is parsed on up to `shards`
+    /// workers, one batch per worker at a time (a stored batch is a
+    /// block or two, too small to split), and merged in log order on the
+    /// calling thread. A lone batch spreads its blocks over the `shards`
+    /// instead. A batch parses to the same state on any number of
+    /// shards, so the merged bytes are the sequential ones.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayState::apply`] for the first record that fails.
+    pub(crate) fn apply_run(
+        &mut self,
+        records: &[Record],
+        classification: &IncidentClassification,
+        shards: usize,
+    ) -> Result<(), StoreError> {
+        for chunk in records.split_inclusive(|r| r.kind == RecordKind::Snapshot) {
+            let (batches, snapshot) = match chunk.split_last() {
+                Some((last, batches)) if last.kind == RecordKind::Snapshot => (batches, Some(last)),
+                _ => (chunk, None),
+            };
+            let block_shards = if batches.len() == 1 { shards } else { 1 };
+            // Rounds bound how many parsed batches wait for the merge.
+            for round in batches.chunks(BATCHES_PER_WORKER * shards) {
+                let parsed = par_map(round.len(), shards, |i| {
+                    BatchFold::of(&round[i].payload, classification, block_shards)
+                });
+                for (record, batch) in round.iter().zip(parsed) {
+                    self.absorb(record.view(), batch?);
+                }
+            }
+            if let Some(snapshot) = snapshot {
+                self.apply(snapshot.view(), classification, shards)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Merges one parsed batch record into the fold.
+    fn absorb(&mut self, record: RecordRef<'_>, batch: BatchFold<'_>) {
+        self.events_since_snapshot += batch.state.events();
+        self.state.merge(&batch.state);
+        for (vehicle, seq) in batch.seqs {
+            match self.cursors.get_mut(vehicle.as_ref()) {
+                Some(cursor) => *cursor = (*cursor).max(seq),
+                None => {
+                    self.cursors.insert(vehicle.into_owned(), seq);
+                }
+            }
+        }
+        self.duplicates += u64::from(record.duplicates);
+        self.gap_events += u64::from(record.gap_events);
+        self.missing_seqs += u64::from(record.missing_seqs);
+        self.batches += 1;
+        self.last_ts = self.last_ts.max(record.ts);
+    }
+}
+
+/// Batches each worker parses per round of [`ReplayState::apply_run`].
+const BATCHES_PER_WORKER: usize = 8;
+
+/// What one batch record contributes to a replay, before the merge: the
+/// fold of its stored text, and per vehicle the highest `seq` it carries.
+struct BatchFold<'a> {
+    state: FleetState,
+    /// Vehicle ids borrow from the payload where the fast parser read
+    /// them.
+    seqs: BTreeMap<Cow<'a, str>, u64>,
+}
+
+impl<'a> BatchFold<'a> {
+    /// Parses one batch payload on `shards` shards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Corrupt`] for a payload that is not UTF-8,
+    /// and propagates fleet errors from ingestion.
+    fn of(
+        payload: &'a [u8],
+        classification: &IncidentClassification,
+        shards: usize,
+    ) -> Result<BatchFold<'a>, StoreError> {
+        let text = batch_text(payload)?;
+        let state = ingest_str(text, classification, shards)?;
+        // The stored text is the *screened* batch: surviving sequenced
+        // lines carry strictly increasing seqs per vehicle, so the
+        // highest one per vehicle rebuilds the exact cursors. The hybrid
+        // parser yields the same (vehicle, seq) as the tolerant one.
+        let mut seqs: BTreeMap<Cow<'a, str>, u64> = BTreeMap::new();
+        for line in text.lines() {
+            let (vehicle, seq) = match parse_line_hybrid(line) {
+                ParsedLine::Fast(event, Some(seq), _) => (Cow::Borrowed(event.vehicle()), seq),
+                ParsedLine::Owned(event, Some(seq), _) => {
+                    (Cow::Owned(event.vehicle().to_string()), seq)
+                }
+                _ => continue,
+            };
+            match seqs.get_mut(vehicle.as_ref()) {
+                Some(max) => *max = (*max).max(seq),
+                None => {
+                    seqs.insert(vehicle, seq);
+                }
+            }
+        }
+        Ok(BatchFold { state, seqs })
+    }
+}
+
+/// Maps `each` over `0..len` on up to `workers` scoped threads, the
+/// calling thread among them, and returns the results in index order.
+/// Workers claim indices from one atomic counter, so a worker that
+/// draws cheap items takes more of them. One worker runs inline.
+pub(crate) fn par_map<T: Send>(
+    len: usize,
+    workers: usize,
+    each: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= len {
+                return done;
+            }
+            done.push((index, each(index)));
+        }
+    };
+    let workers = workers.min(len);
+    let mut done = if workers <= 1 {
+        worker()
+    } else {
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut done = worker();
+            for helper in helpers {
+                done.extend(helper.join().expect("store worker panicked"));
+            }
+            done
+        })
+    };
+    done.sort_unstable_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 /// A batch record's payload as the JSONL text it must be.
@@ -457,7 +585,7 @@ impl TailFold {
     ///
     /// # Errors
     ///
-    /// As [`ReplayState::apply`] for every record this folds.
+    /// As [`ReplayState::apply_run`] for the records this folds.
     pub(crate) fn push(
         &mut self,
         tail: SegmentTail,
@@ -470,10 +598,10 @@ impl TailFold {
             self.replay = ReplayState::default();
             self.pending = tail.records;
         } else if !tail.records.is_empty() {
+            // Nothing later can replace the held-back snapshot now: fold
+            // it together with this tail, as one run.
+            self.pending.extend(tail.records);
             self.flush(classification, shards)?;
-            for record in &tail.records {
-                self.replay.apply(record.view(), classification, shards)?;
-            }
         }
         Ok(())
     }
@@ -483,10 +611,8 @@ impl TailFold {
         classification: &IncidentClassification,
         shards: usize,
     ) -> Result<(), StoreError> {
-        for record in std::mem::take(&mut self.pending) {
-            self.replay.apply(record.view(), classification, shards)?;
-        }
-        Ok(())
+        let pending = std::mem::take(&mut self.pending);
+        self.replay.apply_run(&pending, classification, shards)
     }
 
     /// The fold as of the last record offered. Its batch and snapshot
@@ -566,6 +692,58 @@ mod tests {
         );
         assert_eq!(view.to_owned(), owned);
         assert_eq!(owned.view().record(9).payload, view.record(9).payload);
+    }
+
+    #[test]
+    fn a_run_with_two_corrupt_batches_fails_at_the_earlier_one() {
+        let classification = paper_classification().unwrap();
+        let batch = |ts: u64, payload: Vec<u8>| Record {
+            kind: RecordKind::Batch,
+            ts,
+            duplicates: 0,
+            gap_events: 0,
+            missing_seqs: 0,
+            payload,
+        };
+        let text = |vehicle: &str, seq: u64| {
+            FleetEvent::Exposure {
+                vehicle: vehicle.into(),
+                hours: Hours::new(0.1).unwrap(),
+            }
+            .to_line_with_seq(seq)
+            .into_bytes()
+        };
+        let run = vec![
+            batch(1, text("A", 1)),
+            batch(2, text("B", 1)),
+            batch(3, vec![0xff, b'\n']),
+            batch(4, text("A", 2)),
+            batch(5, vec![b'{', 0xfe]),
+            batch(6, text("B", 2)),
+        ];
+        let mut sequential = ReplayState::default();
+        let expected = run
+            .iter()
+            .try_for_each(|r| sequential.apply(r.view(), &classification, 1))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(sequential.batches, 2);
+        for shards in 2..=4 {
+            let mut parallel = ReplayState::default();
+            let err = parallel
+                .apply_run(&run, &classification, shards)
+                .unwrap_err();
+            assert_eq!(err.to_string(), expected, "shards={shards}");
+            // The batches before the earlier corrupt one are applied, as
+            // sequentially; none after it is.
+            assert_eq!(parallel.batches, sequential.batches, "shards={shards}");
+            assert_eq!(parallel.last_ts, 2, "shards={shards}");
+            assert_eq!(parallel.cursors, sequential.cursors, "shards={shards}");
+            assert_eq!(
+                serde_json::to_string(&parallel.state).unwrap(),
+                serde_json::to_string(&sequential.state).unwrap()
+            );
+        }
     }
 
     #[test]

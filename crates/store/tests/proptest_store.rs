@@ -12,11 +12,15 @@
 //!   prefix;
 //! * **recovery ≡ live** — a reopened store, which folds only from the
 //!   newest snapshot, reports the live store's state, cursors and
-//!   counters, also after appending to a reopened store.
+//!   counters, also after appending to a reopened store;
+//! * **parallel tail ≡ sequential prefix** — `as_of` at every record
+//!   timestamp, whose tail is parsed on up to `shards` workers, equals
+//!   applying the same record prefix one record at a time, for any
+//!   float payloads (the merge order is the log order either way).
 //!
-//! Hours are dyadic (multiples of 0.25 h, as the telemetry layer
-//! emits), so every floating-point sum in play is exact and
-//! byte-comparisons are legitimate for arbitrary groupings.
+//! Apart from the last property, hours are dyadic (multiples of 0.25 h,
+//! as the telemetry layer emits), so every floating-point sum in play is
+//! exact and byte-comparisons are legitimate for arbitrary groupings.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,6 +31,8 @@ use qrn_core::incident::IncidentRecord;
 use qrn_core::object::{Involvement, ObjectType};
 use qrn_fleet::event::FleetEvent;
 use qrn_fleet::ingest::{fold_states, ingest_str, FleetState};
+use qrn_store::record::Record;
+use qrn_store::segment::{decode_closed, list_closed, scan_open, ReplayState, OPEN_SEGMENT};
 use qrn_store::{Store, StoreConfig, StoreReader, StoreStatus};
 use qrn_units::{Hours, Speed};
 
@@ -57,16 +63,28 @@ fn recovered(status: StoreStatus) -> [u64; 7] {
 
 /// Renders the generated events as sequenced JSONL lines, injecting a
 /// duplicate after every `dup_stride`-th line and a sequence gap before
-/// every `gap_stride`-th line.
+/// every `gap_stride`-th line. An event `(vehicle, units)` reports
+/// `units × 0.25` hours.
 fn render_lines(
     events: &[(usize, u32)],
     incident_stride: usize,
     dup_stride: usize,
     gap_stride: usize,
 ) -> Vec<String> {
+    render_lines_in(events, 0.25, incident_stride, dup_stride, gap_stride)
+}
+
+/// As [`render_lines`], with `units × hours_per_unit` hours per report.
+fn render_lines_in(
+    events: &[(usize, u32)],
+    hours_per_unit: f64,
+    incident_stride: usize,
+    dup_stride: usize,
+    gap_stride: usize,
+) -> Vec<String> {
     let mut counters = std::collections::BTreeMap::new();
     let mut lines = Vec::new();
-    for (i, (vehicle_idx, quarter_hours)) in events.iter().enumerate() {
+    for (i, (vehicle_idx, units)) in events.iter().enumerate() {
         let vehicle = format!("V{vehicle_idx:02}");
         let event = if (i + 1) % incident_stride == 0 {
             FleetEvent::Incident {
@@ -79,7 +97,7 @@ fn render_lines(
         } else {
             FleetEvent::Exposure {
                 vehicle: vehicle.clone(),
-                hours: Hours::new(*quarter_hours as f64 * 0.25).unwrap(),
+                hours: Hours::new(*units as f64 * hours_per_unit).unwrap(),
             }
         };
         let counter = counters.entry(vehicle).or_insert(0u64);
@@ -223,6 +241,125 @@ proptest! {
         prop_assert_eq!(store.cursors(), &appended_cursors);
         prop_assert_eq!(recovered(store.status()), appended_status);
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Every checksum-valid record of the store at `dir`, in log order.
+fn stored_records(dir: &std::path::Path) -> Vec<Record> {
+    let mut records = Vec::new();
+    for (_, path) in list_closed(dir).unwrap() {
+        let bytes = std::fs::read(&path).unwrap();
+        records.extend(
+            decode_closed(&bytes, &path)
+                .unwrap()
+                .into_iter()
+                .map(Record::owned),
+        );
+    }
+    let open = dir.join(OPEN_SEGMENT);
+    let bytes = std::fs::read(&open).unwrap();
+    records.extend(
+        scan_open(&bytes, &open)
+            .unwrap()
+            .records
+            .into_iter()
+            .map(Record::owned),
+    );
+    records
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn parallel_tail_folds_equal_the_sequential_prefix_replay(
+        events in proptest::collection::vec((0usize..5, 1u32..60), 8..160),
+        cut_permilles in proptest::collection::vec(1usize..1000, 1..12),
+        long_batch_at in 0usize..12,
+        long_batch_lines in 513usize..700,
+        snapshot_every in prop_oneof![Just(0u64), Just(1u64), Just(5u64), Just(40u64)],
+        roll_bytes in prop_oneof![Just(1u64), Just(1500u64), Just(8u64 * 1024 * 1024)],
+        shards in 1usize..=4,
+        incident_stride in 3usize..9,
+        dup_stride in 4usize..11,
+        gap_stride in 5usize..13,
+    ) {
+        let classification = paper_classification().unwrap();
+        // Non-dyadic hours: sums round, so only an identical merge order
+        // yields identical bytes.
+        let lines = render_lines_in(&events, 0.017, incident_stride, dup_stride, gap_stride);
+        let mut cuts: Vec<usize> = cut_permilles.iter().map(|p| p * lines.len() / 1000).collect();
+        cuts.push(lines.len());
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut batches = Vec::new();
+        let mut start = 0;
+        for cut in cuts {
+            if cut > start {
+                batches.push(lines[start..cut].join("\n") + "\n");
+                start = cut;
+            }
+        }
+        // One batch of more than one parse block, of unsequenced lines.
+        let long: String = (0..long_batch_lines)
+            .map(|i| {
+                FleetEvent::Exposure {
+                    vehicle: format!("L{:02}", i % 7),
+                    hours: Hours::new(0.1 + (i % 13) as f64 * 0.013).unwrap(),
+                }
+                .to_line()
+                    + "\n"
+            })
+            .collect();
+        batches.insert(long_batch_at.min(batches.len()), long);
+
+        let config = StoreConfig {
+            snapshot_every_events: snapshot_every,
+            roll_bytes,
+            compact_after_segments: 0,
+            parse_shards: shards,
+        };
+        let dir = temp_dir();
+        let mut store = Store::open(&dir, classification.clone(), config).unwrap();
+        for (b, batch) in batches.iter().enumerate() {
+            store.append_batch(batch, (b as u64 + 1) * 1_000).unwrap();
+        }
+
+        // `as_of` every record timestamp ≡ applying the records up to it,
+        // one at a time, snapshots included.
+        let reader = StoreReader::open(&dir, classification.clone(), shards).unwrap();
+        let records = stored_records(&dir);
+        let mut sequential = ReplayState::default();
+        for (i, record) in records.iter().enumerate() {
+            sequential.apply(record.view(), &classification, 1).unwrap();
+            if records.get(i + 1).is_some_and(|next| next.ts == record.ts) {
+                continue;
+            }
+            let at = reader.fold_as_of(Some(record.ts)).unwrap();
+            prop_assert_eq!(json(&at.state), json(&sequential.state), "ts {}", record.ts);
+            prop_assert_eq!(&at.cursors, &sequential.cursors);
+            prop_assert_eq!(
+                (at.duplicates, at.gap_events, at.missing_seqs, at.last_ts),
+                (
+                    sequential.duplicates,
+                    sequential.gap_events,
+                    sequential.missing_seqs,
+                    sequential.last_ts
+                )
+            );
+        }
+        prop_assert_eq!(json(&sequential.state), json(store.state()));
+
+        // Recovery folds its tail the same way: a reopened store reports
+        // the live state and status.
+        let live = (json(store.state()), store.cursors().clone(), store.status());
+        drop(store);
+        let store = Store::open(&dir, classification.clone(), config).unwrap();
+        prop_assert_eq!(json(store.state()), live.0);
+        prop_assert_eq!(store.cursors(), &live.1);
+        prop_assert_eq!(store.status(), live.2);
+        drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

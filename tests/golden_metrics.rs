@@ -95,7 +95,6 @@ fn scrape(sequential: bool) -> String {
     config.port = 0;
     config.workers = 2;
     config.shards = 2;
-    config.state_shards = 2;
     config.io_timeout = Duration::from_secs(5);
     config.store = Some(dir.join("store"));
     config.burndown.sequential = sequential;

@@ -96,15 +96,18 @@ fn offline_state(segments: &[String]) -> FleetState {
 
 #[test]
 fn concurrent_ingest_matches_offline_pipeline_byte_for_byte() {
-    // The state-shard count must never change a single byte of any
-    // served or checkpointed artefact: the cross-shard fold reuses the
-    // dyadic merge order of offline ingest, and this sweep enforces it
-    // for the shard counts named in the acceptance criteria.
-    for state_shards in [1usize, 2, 4, 8] {
-        let tag = format!("determinism-{state_shards}");
+    // The shard count must never change a single byte of any served or
+    // checkpointed artefact. It spreads each upload's parse, and with a
+    // store the replay of its batches behind `?as_of=` and recovery, over
+    // that many workers; every path merges in one fixed order.
+    for shards in [1usize, 2, 4, 8] {
+        let tag = format!("determinism-{shards}");
         let (mut config, checkpoint) = test_config(&tag);
-        config.state_shards = state_shards;
-        let handle = Server::start(config).unwrap();
+        let store = temp_dir(&tag).join("store");
+        let _ = std::fs::remove_dir_all(&store);
+        config.shards = shards;
+        config.store = Some(store);
+        let handle = Server::start(config.clone()).unwrap();
         let addr = handle.addr();
 
         // Concurrent clients upload disjoint segments in whatever order
@@ -145,8 +148,13 @@ fn concurrent_ingest_matches_offline_pipeline_byte_for_byte() {
         assert_eq!(
             served,
             offline_report.to_canonical_json(),
-            "state_shards={state_shards}"
+            "shards={shards}"
         );
+        // The store replay of all three batches (no snapshot: the whole
+        // log is the tail) serves the same bytes.
+        let (status, replayed) = get(addr, &format!("/v1/burndown?as_of={}", u64::MAX));
+        assert_eq!(status, 200);
+        assert_eq!(replayed, served, "shards={shards}: as_of");
 
         // Graceful shutdown writes the final checkpoint; its bytes equal
         // the offline `fleet ingest --checkpoint` artefact of the same
@@ -157,8 +165,16 @@ fn concurrent_ingest_matches_offline_pipeline_byte_for_byte() {
         assert_eq!(
             std::fs::read_to_string(&checkpoint).unwrap(),
             serde_json::to_string_pretty(&offline).unwrap(),
-            "state_shards={state_shards}"
+            "shards={shards}"
         );
+
+        // A restart recovers the same state from the store.
+        config.checkpoint = None;
+        let handle = Server::start(config).unwrap();
+        let (status, recovered) = get(handle.addr(), "/v1/burndown");
+        assert_eq!(status, 200);
+        assert_eq!(recovered, served, "shards={shards}: recovery");
+        handle.stop().unwrap();
     }
 }
 

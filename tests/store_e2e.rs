@@ -150,24 +150,24 @@ fn non_dyadic_batches() -> Vec<String> {
 #[test]
 fn store_recovery_is_byte_identical_to_the_checkpoint_path() {
     assert_recovery_is_byte_identical("recovery", &sequenced_batches(), None);
-    // Four state shards: when shards took whole segments round-robin,
-    // the twelve batches wrapped that assignment three times and the
-    // live sums drifted from the replay's.
+    // Four shards: recovery and the replay below parse the batches on
+    // four workers and must still merge them in append order, which
+    // non-dyadic sums would betray.
     assert_recovery_is_byte_identical("recovery-non-dyadic", &non_dyadic_batches(), Some(4));
 }
 
-/// Serves `batches` from a store-backed server (with `state_shards`, or
-/// the default) and checks one state on every path: the first live
+/// Serves `batches` from a store-backed server (with `shards`, or the
+/// default) and checks one state on every path: the first live
 /// burn-down, the drained checkpoint, the store replay, the offline fold
 /// and a restarted server's burn-down.
-fn assert_recovery_is_byte_identical(tag: &str, batches: &[String], state_shards: Option<usize>) {
+fn assert_recovery_is_byte_identical(tag: &str, batches: &[String], shards: Option<usize>) {
     let dir = temp_dir(tag);
     let store_dir = dir.join("store");
     let config = |checkpoint: Option<PathBuf>| {
         let mut config = test_config(&store_dir);
         config.checkpoint = checkpoint;
-        if let Some(state_shards) = state_shards {
-            config.state_shards = state_shards;
+        if let Some(shards) = shards {
+            config.shards = shards;
         }
         config
     };

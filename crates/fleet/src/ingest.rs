@@ -22,7 +22,7 @@
 //! streams through a fixed-size working set per shard.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -465,48 +465,53 @@ pub fn ingest_str_with_scratch(
     // partition by line index — and with it the float fold grouping — is
     // exactly what collecting `Vec<&str>` produced before.
     let spans = scratch.split_lines(text);
-    let blocks = spans.len().div_ceil(LINES_PER_BLOCK).max(1) as u64;
-
-    let queue = AtomicU64::new(0);
+    let blocks = spans.len().div_ceil(LINES_PER_BLOCK).max(1);
     let spans: &[(usize, usize)] = spans;
-    let worker = || {
-        let mut local = Vec::new();
-        loop {
-            let block = queue.fetch_add(1, Ordering::Relaxed);
-            if block >= blocks {
-                return local;
-            }
-            let first = block as usize * LINES_PER_BLOCK;
-            let last = (first + LINES_PER_BLOCK).min(spans.len());
-            let mut acc = ShardAccumulator::default();
-            for &(start, end) in &spans[first..last] {
-                acc.absorb_line(&text[start..end], classification);
-            }
-            local.push((block, acc));
+    let partials = par_map(blocks, shards, |block| {
+        let first = block * LINES_PER_BLOCK;
+        let last = (first + LINES_PER_BLOCK).min(spans.len());
+        let mut acc = ShardAccumulator::default();
+        for &(start, end) in &spans[first..last] {
+            acc.absorb_line(&text[start..end], classification);
         }
-    };
-    // A thread spawn costs about as much as folding a block, and most
-    // texts (store replay batches, live uploads) are a single block.
-    let workers = shards.min(blocks as usize);
-    let mut partials: Vec<(u64, ShardAccumulator)> = if workers == 1 {
-        worker()
-    } else {
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-            let mut partials = worker();
-            for helper in helpers {
-                partials.extend(helper.join().expect("ingest shard panicked"));
-            }
-            partials
-        })
-    };
-
+        acc.state
+    });
     // The reduce: ascending block order restores the sequential fold
     // regardless of which shard parsed which block.
-    partials.sort_unstable_by_key(|(block, _)| *block);
-    Ok(fold_states(
-        partials.into_iter().map(|(_, partial)| partial.state),
-    ))
+    Ok(fold_states(partials))
+}
+
+/// Maps `each` over `0..len` on up to `workers` scoped threads, the
+/// calling thread among them, and returns the results in index order.
+/// Workers claim indices from one atomic counter, so a worker that
+/// draws cheap items takes more of them. With one worker (or one item)
+/// no thread is spawned.
+///
+/// # Panics
+///
+/// Propagates a panic from `each` on any worker.
+pub fn par_map<T: Send>(len: usize, workers: usize, each: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= len {
+                return done;
+            }
+            done.push((index, each(index)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(len)).map(|_| scope.spawn(worker)).collect();
+        let mut done = worker();
+        for helper in helpers {
+            done.extend(helper.join().expect("par_map worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 #[cfg(test)]

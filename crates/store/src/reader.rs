@@ -37,13 +37,13 @@ use std::path::{Path, PathBuf};
 use serde::Serialize;
 
 use qrn_core::IncidentClassification;
-use qrn_fleet::ingest::FleetState;
+use qrn_fleet::ingest::{par_map, FleetState};
 use qrn_stats::evidence::EvidenceLedger;
 
 use crate::record::{Record, RecordKind, RecordRef};
 use crate::segment::{
-    batch_text, decode_closed, list_closed, par_map, scan_open, ReplayState, SegmentTail,
-    SnapshotPayload, TailFold, OPEN_SEGMENT,
+    batch_text, decode_closed, list_closed, scan_open, ReplayState, SegmentTail, SnapshotPayload,
+    TailFold, OPEN_SEGMENT,
 };
 use crate::StoreError;
 

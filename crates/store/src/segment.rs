@@ -26,14 +26,12 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 use serde::{Deserialize, Serialize};
 
 use qrn_core::IncidentClassification;
 use qrn_fleet::event::fastpath::{parse_line_hybrid, ParsedLine};
-use qrn_fleet::ingest::{ingest_str, FleetState};
+use qrn_fleet::ingest::{ingest_str, par_map, FleetState};
 
 use crate::record::{decode, Decoded, Record, RecordKind, RecordRef, MAGIC};
 use crate::StoreError;
@@ -462,43 +460,6 @@ impl<'a> BatchFold<'a> {
         }
         Ok(BatchFold { state, seqs })
     }
-}
-
-/// Maps `each` over `0..len` on up to `workers` scoped threads, the
-/// calling thread among them, and returns the results in index order.
-/// Workers claim indices from one atomic counter, so a worker that
-/// draws cheap items takes more of them. One worker runs inline.
-pub(crate) fn par_map<T: Send>(
-    len: usize,
-    workers: usize,
-    each: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut done = Vec::new();
-        loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= len {
-                return done;
-            }
-            done.push((index, each(index)));
-        }
-    };
-    let workers = workers.min(len);
-    let mut done = if workers <= 1 {
-        worker()
-    } else {
-        thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-            let mut done = worker();
-            for helper in helpers {
-                done.extend(helper.join().expect("store worker panicked"));
-            }
-            done
-        })
-    };
-    done.sort_unstable_by_key(|(index, _)| *index);
-    done.into_iter().map(|(_, value)| value).collect()
 }
 
 /// A batch record's payload as the JSONL text it must be.

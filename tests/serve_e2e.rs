@@ -97,83 +97,94 @@ fn offline_state(segments: &[String]) -> FleetState {
 #[test]
 fn concurrent_ingest_matches_offline_pipeline_byte_for_byte() {
     // The shard count must never change a single byte of any served or
-    // checkpointed artefact. It spreads each upload's parse, and with a
-    // store the replay of its batches behind `?as_of=` and recovery, over
-    // that many workers; every path merges in one fixed order.
+    // checkpointed artefact. It spreads each upload's parse over that
+    // many workers. Without a store the workers merge concurrent uploads
+    // into the live state themselves; with one, the store's writer merges
+    // them, and the replay of the batches behind `?as_of=` and recovery
+    // runs on the same workers. Every path merges in one fixed order.
     for shards in [1usize, 2, 4, 8] {
-        let tag = format!("determinism-{shards}");
-        let (mut config, checkpoint) = test_config(&tag);
+        for with_store in [false, true] {
+            concurrent_ingest_round(shards, with_store);
+        }
+    }
+}
+
+fn concurrent_ingest_round(shards: usize, with_store: bool) {
+    let case = format!("shards={shards} store={with_store}");
+    let tag = format!("determinism-{shards}-{with_store}");
+    let (mut config, checkpoint) = test_config(&tag);
+    config.shards = shards;
+    if with_store {
         let store = temp_dir(&tag).join("store");
         let _ = std::fs::remove_dir_all(&store);
-        config.shards = shards;
         config.store = Some(store);
-        let handle = Server::start(config.clone()).unwrap();
-        let addr = handle.addr();
+    }
+    let handle = Server::start(config.clone()).unwrap();
+    let addr = handle.addr();
 
-        // Concurrent clients upload disjoint segments in whatever order
-        // the scheduler produces.
-        let segments = segments();
-        let uploads: Vec<_> = segments
-            .iter()
-            .cloned()
-            .map(|segment| {
-                std::thread::spawn(move || {
-                    let (status, body) = post(addr, "/v1/ingest", &segment);
-                    assert_eq!(status, 200, "{body}");
-                })
+    // Concurrent clients upload disjoint segments in whatever order
+    // the scheduler produces.
+    let segments = segments();
+    let uploads: Vec<_> = segments
+        .iter()
+        .cloned()
+        .map(|segment| {
+            std::thread::spawn(move || {
+                let (status, body) = post(addr, "/v1/ingest", &segment);
+                assert_eq!(status, 200, "{body}");
             })
-            .collect();
-        for upload in uploads {
-            upload.join().unwrap();
-        }
+        })
+        .collect();
+    for upload in uploads {
+        upload.join().unwrap();
+    }
 
-        // The served burn-down must be byte-identical to the offline
-        // pipeline: ingest the same segments, run the same analysis,
-        // print canonical JSON. (First server look == offline's one and
-        // only look.)
-        let offline = offline_state(&segments);
-        let norm = paper_norm().unwrap();
-        let classification = paper_classification().unwrap();
-        let allocation = paper_allocation(&classification).unwrap();
-        let offline_report = burn_down_filtered(
-            &norm,
-            &allocation,
-            &offline,
-            &BurnDownConfig::default(),
-            &ContextFilter::all(),
-        )
-        .unwrap();
-        let (status, served) = get(addr, "/v1/burndown");
-        assert_eq!(status, 200);
-        assert_eq!(
-            served,
-            offline_report.to_canonical_json(),
-            "shards={shards}"
-        );
+    // The served burn-down must be byte-identical to the offline
+    // pipeline: ingest the same segments, run the same analysis,
+    // print canonical JSON. (First server look == offline's one and
+    // only look.)
+    let offline = offline_state(&segments);
+    let norm = paper_norm().unwrap();
+    let classification = paper_classification().unwrap();
+    let allocation = paper_allocation(&classification).unwrap();
+    let offline_report = burn_down_filtered(
+        &norm,
+        &allocation,
+        &offline,
+        &BurnDownConfig::default(),
+        &ContextFilter::all(),
+    )
+    .unwrap();
+    let (status, served) = get(addr, "/v1/burndown");
+    assert_eq!(status, 200);
+    assert_eq!(served, offline_report.to_canonical_json(), "{case}");
+    if with_store {
         // The store replay of all three batches (no snapshot: the whole
         // log is the tail) serves the same bytes.
         let (status, replayed) = get(addr, &format!("/v1/burndown?as_of={}", u64::MAX));
-        assert_eq!(status, 200);
-        assert_eq!(replayed, served, "shards={shards}: as_of");
+        assert_eq!(status, 200, "{case}: {replayed}");
+        assert_eq!(replayed, served, "{case}: as_of");
+    }
 
-        // Graceful shutdown writes the final checkpoint; its bytes equal
-        // the offline `fleet ingest --checkpoint` artefact of the same
-        // segments.
-        let (status, _) = post(addr, "/v1/shutdown", "");
-        assert_eq!(status, 200);
-        handle.wait().unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&checkpoint).unwrap(),
-            serde_json::to_string_pretty(&offline).unwrap(),
-            "shards={shards}"
-        );
+    // Graceful shutdown writes the final checkpoint; its bytes equal
+    // the offline `fleet ingest --checkpoint` artefact of the same
+    // segments.
+    let (status, _) = post(addr, "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    handle.wait().unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&checkpoint).unwrap(),
+        serde_json::to_string_pretty(&offline).unwrap(),
+        "{case}"
+    );
 
+    if with_store {
         // A restart recovers the same state from the store.
         config.checkpoint = None;
         let handle = Server::start(config).unwrap();
         let (status, recovered) = get(handle.addr(), "/v1/burndown");
-        assert_eq!(status, 200);
-        assert_eq!(recovered, served, "shards={shards}: recovery");
+        assert_eq!(status, 200, "{case}: {recovered}");
+        assert_eq!(recovered, served, "{case}: recovery");
         handle.stop().unwrap();
     }
 }

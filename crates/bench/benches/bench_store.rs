@@ -6,8 +6,9 @@
 //! perf baseline `results/BENCH_store.json`: append rate, `as_of`
 //! replay cost and `Store::open` recovery time for a store that never
 //! snapshots versus one that snapshots every 512 events, the
-//! mid-history `as_of` fold read on one and on two workers, and the
-//! command that produced it. The *timings* are machine-local; the
+//! mid-history `as_of` fold read on one and on two workers, the
+//! interquartile range beside each median fold time, and the command
+//! that produced it. The *timings* are machine-local; the
 //! structural claims are not, and are asserted here: both stores fold
 //! to byte-identical fleet states, and the snapshotted store answers
 //! the same `as_of` query by folding strictly fewer records (snapshot +
@@ -134,32 +135,43 @@ fn bench_replay(c: &mut Criterion) {
 /// What [`timed_store`] measured.
 struct Timed {
     append_secs: f64,
-    fold_secs: f64,
+    /// The `as_of` fold at the newest batch.
+    fold_millis: Spread,
     open_secs: f64,
     records_folded: u64,
-    /// Median `as_of` fold at the middle batch, on 1 and on 2 workers.
-    mid_fold_secs: [f64; 2],
+    /// The `as_of` fold at the middle batch, on 1 and on 2 workers.
+    mid_fold_millis: [Spread; 2],
     state: String,
 }
 
-/// Median seconds of `runs` calls of `f`.
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut secs: Vec<f64> = (0..runs)
+/// The median and the interquartile range of repeated timings, in
+/// milliseconds.
+struct Spread {
+    median: f64,
+    iqr: f64,
+}
+
+/// The [`Spread`] of `runs` calls of `f`.
+fn spread_millis(runs: usize, mut f: impl FnMut()) -> Spread {
+    let mut millis: Vec<f64> = (0..runs)
         .map(|_| {
             let start = Instant::now();
             f();
-            start.elapsed().as_secs_f64()
+            start.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    secs.sort_by(f64::total_cmp);
-    secs[runs / 2]
+    millis.sort_by(f64::total_cmp);
+    Spread {
+        median: millis[runs / 2],
+        iqr: millis[3 * runs / 4] - millis[runs / 4],
+    }
 }
 
 /// Builds a store with the given snapshot cadence from `batches`, then
-/// times the median `as_of` fold at the newest batch, the median
-/// `as_of` fold at the middle batch on one and on two reader workers,
-/// and one `Store::open` recovery, and keeps the folded state's
-/// canonical JSON. The append time is the median of building the store
+/// times the `as_of` fold at the newest batch and at the middle batch
+/// on one and on two reader workers (median and interquartile range of
+/// 21 folds each), and one `Store::open` recovery, and keeps the folded
+/// state's canonical JSON. The append time is the median of building the store
 /// five times, since one fsync-bound run spreads widely.
 fn timed_store(snapshot_every_events: u64, batches: &[String]) -> Timed {
     let dir = temp_dir(&format!("baseline-{snapshot_every_events}"));
@@ -182,12 +194,12 @@ fn timed_store(snapshot_every_events: u64, batches: &[String]) -> Timed {
     let reader = StoreReader::open(&dir, classification.clone(), 1).expect("reader opens");
     let last_ts = batches.len() as u64 * 1_000;
     let summary = reader.fold_as_of(Some(last_ts)).expect("fold");
-    let fold_secs = median_secs(21, || {
+    let fold_millis = spread_millis(21, || {
         black_box(reader.fold_as_of(Some(last_ts)).expect("fold"));
     });
-    let mid_fold_secs = [1, 2].map(|shards| {
+    let mid_fold_millis = [1, 2].map(|shards| {
         let reader = StoreReader::open(&dir, classification.clone(), shards).expect("reader opens");
-        median_secs(21, || {
+        spread_millis(21, || {
             black_box(reader.fold_as_of(Some(last_ts / 2)).expect("fold"));
         })
     });
@@ -205,10 +217,10 @@ fn timed_store(snapshot_every_events: u64, batches: &[String]) -> Timed {
     let _ = std::fs::remove_dir_all(&dir);
     Timed {
         append_secs,
-        fold_secs,
+        fold_millis,
         open_secs,
         records_folded: summary.records,
-        mid_fold_secs,
+        mid_fold_millis,
         state,
     }
 }
@@ -231,22 +243,31 @@ fn emit_store_baseline() {
     for snapshot_every in [0u64, 512] {
         let timed = timed_store(snapshot_every, &batches);
         let append_rate = events as f64 / timed.append_secs;
-        let [mid_1, mid_2] = timed.mid_fold_secs.map(|secs| secs * 1e3);
+        let fold = &timed.fold_millis;
+        let [mid_1, mid_2] = &timed.mid_fold_millis;
         println!(
             "store/baseline snapshot_every={snapshot_every}: {append_rate:.0} events/s appended, \
-             as_of fold {:.2} ms over {} record(s), mid-history as_of {mid_1:.2} ms on 1 \
-             worker and {mid_2:.2} ms on 2, open {:.2} ms",
-            timed.fold_secs * 1e3,
+             as_of fold {:.2} ms (IQR {:.2}) over {} record(s), mid-history as_of {:.2} ms \
+             (IQR {:.2}) on 1 worker and {:.2} ms (IQR {:.2}) on 2, open {:.2} ms",
+            fold.median,
+            fold.iqr,
             timed.records_folded,
+            mid_1.median,
+            mid_1.iqr,
+            mid_2.median,
+            mid_2.iqr,
             timed.open_secs * 1e3,
         );
         rows.push(serde_json::json!({
             "snapshot_every_events": snapshot_every,
             "append_events_per_second": append_rate,
-            "as_of_fold_millis": timed.fold_secs * 1e3,
+            "as_of_fold_millis": fold.median,
+            "as_of_fold_iqr_millis": fold.iqr,
             "as_of_records_folded": timed.records_folded,
-            "as_of_mid_millis_1_shard": mid_1,
-            "as_of_mid_millis_2_shards": mid_2,
+            "as_of_mid_millis_1_shard": mid_1.median,
+            "as_of_mid_1_shard_iqr_millis": mid_1.iqr,
+            "as_of_mid_millis_2_shards": mid_2.median,
+            "as_of_mid_2_shards_iqr_millis": mid_2.iqr,
             "open_millis": timed.open_secs * 1e3,
         }));
         folded_records.push(timed.records_folded);
@@ -266,9 +287,9 @@ fn emit_store_baseline() {
             "quick": quick(),
             "command": command,
             "baseline": rows,
-            "note": "durable append rate (median of 5 builds), as_of replay cost (median of 21 \
-                     folds at the newest batch, and at the middle batch read on 1 and 2 \
-                     workers) and Store::open recovery time \
+            "note": "durable append rate (median of 5 builds), as_of replay cost (median and \
+                     interquartile range of 21 folds at the newest batch, and at the middle \
+                     batch read on 1 and 2 workers) and Store::open recovery time \
                      without vs with snapshot records; timings are machine-local, but the \
                      snapshotted store must fold strictly fewer records for the same query \
                      and both must fold, and recover, to byte-identical states",

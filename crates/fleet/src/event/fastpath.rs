@@ -93,13 +93,6 @@ pub enum ParsedLine<'a> {
 }
 
 impl ParsedLine<'_> {
-    /// The owned `(event, seq)` this outcome denotes, if any — the shape
-    /// [`parse_line_with_seq`] returns, used by the differential tests.
-    pub fn to_owned_event(&self) -> Result<Option<(FleetEvent, Option<u64>)>, SkipReason> {
-        self.to_owned_meta()
-            .map(|parsed| parsed.map(|(event, seq, _ctx)| (event, seq)))
-    }
-
     /// The owned `(event, seq, ctx)` this outcome denotes, if any — the
     /// shape [`parse_line_with_meta`] returns, used by the differential
     /// tests and the context-attributing fold.
@@ -163,11 +156,6 @@ impl ScratchParser {
             self.spans.push((start, start + line.len()));
         }
         &self.spans
-    }
-
-    /// Parses one line via [`parse_line_hybrid`].
-    pub fn parse<'t>(&mut self, line: &'t str) -> ParsedLine<'t> {
-        parse_line_hybrid(line)
     }
 }
 

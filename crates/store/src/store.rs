@@ -10,16 +10,27 @@
 //!    pass through verbatim so replay re-derives the exact skip tallies.
 //! 2. **Ingest** the surviving text into a [`FleetState`] segment and
 //!    **append** it — screened text, screening deltas and a monotone
-//!    timestamp — as one checksummed record, fsynced before the call
-//!    returns. What is acknowledged is durable.
-//! 3. **Fold** the segment into the in-memory replica (the same
-//!    `merge` fold every other layer uses), and, on cadence, write a
-//!    snapshot record, roll the open segment, and compact closed ones.
+//!    timestamp — as one checksummed record.
+//! 3. **Fold** the segment and the batch's accepted `seq`s into the
+//!    in-memory replica through the same [`ReplayState`] merge replay
+//!    uses, and, on cadence, write a snapshot record, roll the open
+//!    segment, and compact closed ones.
+//!
+//! The replica is the store's only copy of the fleet state. Compaction
+//! writes it as the snapshot that replaces the closed segments, and
+//! runs only once the open segment holds no records (rolling it first if
+//! it does) — the replica is then exactly the fold of the closed
+//! segments.
 //!
 //! # Durability discipline
 //!
-//! Records are appended then `fsync`ed; segment rolls and compactions go
-//! through `qrn_fleet::checkpoint`'s write-temp + fsync + rename +
+//! There is one durability path: every record is written without an
+//! fsync, and [`Store::sync`] fsyncs whatever is unsynced.
+//! [`Store::append_batch`] and [`Store::write_snapshot`] are a write and
+//! a `sync`, so they return only once durable; the group-commit writer
+//! issues the `sync` once per group. What is acknowledged is durable.
+//! Segment rolls and compactions go through `qrn_fleet::checkpoint`'s
+//! write-temp + fsync + rename +
 //! [`directory-fsync`](qrn_fleet::checkpoint::fsync_dir) protocol, so a
 //! power cut never drops a just-closed segment and never exposes a
 //! half-written one. The open segment is the only file a crash can
@@ -44,13 +55,12 @@ use std::path::{Path, PathBuf};
 
 use qrn_core::IncidentClassification;
 use qrn_fleet::checkpoint::fsync_dir;
-use qrn_fleet::event::fastpath::{parse_line_hybrid, ParsedLine};
 use qrn_fleet::ingest::{ingest_str, FleetState};
 
 use crate::record::{Record, RecordKind, RecordRef, MAGIC};
 use crate::segment::{
-    batch_text, closed_segment_name, decode_closed, list_closed, scan_open, ReplayState,
-    SegmentTail, SnapshotPayload, TailFold, OPEN_SEGMENT,
+    batch_text, closed_segment_name, decode_closed, list_closed, scan_open, sequenced, BatchSeqs,
+    ReplayState, SegmentTail, TailFold, OPEN_SEGMENT,
 };
 use crate::StoreError;
 
@@ -155,24 +165,19 @@ pub struct StoreStatus {
     pub compactions: u64,
 }
 
-/// Bookkeeping captured at the most recent closed-segment boundary, so
-/// compaction can snapshot *exactly* the state the closed segments
-/// replay to — never the open segment's uncommitted progress.
-#[derive(Debug, Clone)]
-struct SealedBoundary {
-    payload: SnapshotPayload,
-    ts: u64,
-}
-
 /// Per-batch outcome of sequence screening.
-struct Screened {
+struct Screened<'a> {
     kept: String,
+    /// The cursor advances the kept lines stage, committed by the merge.
+    seqs: BatchSeqs<'a>,
     duplicates: u32,
     gap_events: u32,
     missing_seqs: u32,
 }
 
-/// Screens one batch against the per-source cursors, advancing them.
+/// Screens one batch against the per-source cursors, staging their
+/// advances in [`Screened::seqs`] (the batch's own lines are screened
+/// against the staged cursors too):
 ///
 /// * a sequenced line with `seq` at or below its vehicle's cursor is a
 ///   **duplicate**: dropped and counted — at-least-once delivery must
@@ -187,45 +192,33 @@ struct Screened {
 /// Sequence numbers start at 1; a first sighting that starts above 1 is
 /// itself a gap (the source lost data before we ever heard from it), and
 /// `seq` 0 is always a duplicate by construction.
-fn screen(text: &str, cursors: &mut BTreeMap<String, u64>) -> Screened {
+fn screen<'a>(text: &'a str, cursors: &BTreeMap<String, u64>) -> Screened<'a> {
     let mut kept = String::with_capacity(text.len());
+    let mut seqs = BatchSeqs::new();
     let mut duplicates = 0u32;
     let mut gap_events = 0u32;
     let mut missing = 0u64;
-    // Advances one vehicle's cursor (interned on first sighting only —
-    // steady-state screening allocates no id strings) and reports
-    // whether the line should be kept.
-    let mut advance = |vehicle: &str, seq: u64| -> bool {
-        if !cursors.contains_key(vehicle) {
-            cursors.insert(vehicle.to_string(), 0);
-        }
-        let cursor = cursors.get_mut(vehicle).expect("cursor was just ensured");
-        if seq <= *cursor {
-            duplicates = duplicates.saturating_add(1);
-            return false;
-        }
-        if seq > *cursor + 1 {
-            gap_events = gap_events.saturating_add(1);
-            missing += seq - *cursor - 1;
-        }
-        *cursor = seq;
-        true
-    };
     for line in text.lines() {
-        let keep = match parse_line_hybrid(line) {
-            ParsedLine::Fast(event, Some(seq), _) => advance(event.vehicle(), seq),
-            ParsedLine::Owned(ref event, Some(seq), _) => advance(event.vehicle(), seq),
-            // Unsequenced, blank and malformed lines pass through
-            // verbatim, exactly as the tolerant-only screen did.
-            _ => true,
-        };
-        if keep {
-            kept.push_str(line);
-            kept.push('\n');
+        // Unsequenced, blank and malformed lines pass through verbatim.
+        if let Some((vehicle, seq)) = sequenced(line) {
+            let id = vehicle.as_ref();
+            let cursor = *seqs.get(id).or_else(|| cursors.get(id)).unwrap_or(&0);
+            if seq <= cursor {
+                duplicates = duplicates.saturating_add(1);
+                continue;
+            }
+            if seq > cursor + 1 {
+                gap_events = gap_events.saturating_add(1);
+                missing += seq - cursor - 1;
+            }
+            seqs.insert(vehicle, seq);
         }
+        kept.push_str(line);
+        kept.push('\n');
     }
     Screened {
         kept,
+        seqs,
         duplicates,
         gap_events,
         missing_seqs: u32::try_from(missing).unwrap_or(u32::MAX),
@@ -248,7 +241,6 @@ pub struct Store {
     next_segment: u64,
     first_closed: u64,
     replay: ReplayState,
-    sealed: SealedBoundary,
     appended_bytes: u64,
     segments_created: u64,
     compactions: u64,
@@ -264,10 +256,9 @@ impl Store {
     /// segment tolerantly with its torn tail (if any) truncated away.
     ///
     /// Recovery checks every record (checksum, kind, and UTF-8 for batch
-    /// payloads) but folds only from the newest snapshot: once for the
-    /// closed segments, whose state is the sealed boundary compaction
-    /// writes, and then on into the open segment. It reads one segment
-    /// at a time.
+    /// payloads) but folds only from the newest snapshot, in one pass
+    /// over the closed segments and then the open one. It reads one
+    /// segment at a time.
     ///
     /// # Errors
     ///
@@ -291,8 +282,7 @@ impl Store {
         let mut fold = TailFold::default();
         let mut appended_bytes = 0u64;
         for (_, path) in &closed {
-            let bytes = fs::read(path)
-                .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
+            let bytes = read_file(path)?;
             let records = decode_closed(&bytes, path)?;
             check_batch_texts(&records)?;
             fold.push(SegmentTail::of(&records), &classification, shards)?;
@@ -301,13 +291,6 @@ impl Store {
             // underflowing the tally.
             appended_bytes += (bytes.len() - MAGIC.len()) as u64;
         }
-        // The sealed boundary is the state the *closed* segments replay
-        // to — captured before the open segment's records are folded.
-        let replay = fold.finish_counting_all(&classification, shards)?;
-        let sealed = SealedBoundary {
-            payload: replay.snapshot_view().to_owned(),
-            ts: replay.last_ts,
-        };
         let (first_closed, next_segment) = match (closed.first(), closed.last()) {
             (Some((first, _)), Some((last, _))) => (*first, *last + 1),
             _ => (1, 1),
@@ -315,40 +298,36 @@ impl Store {
 
         let open_path = dir.join(OPEN_SEGMENT);
         let mut open_bytes = MAGIC.len() as u64;
-        let mut fold = TailFold::resume(replay);
-        if open_path.exists() {
-            let bytes = fs::read(&open_path)
-                .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", open_path.display())))?;
-            let scan = scan_open(&bytes, &open_path)?;
-            if scan.valid_len < MAGIC.len() as u64 {
-                // A crash during segment creation: no records can exist,
-                // re-initialise the file below.
-                write_fresh_segment(&open_path)?;
-            } else if scan.torn_bytes > 0 {
+        let bytes = if open_path.exists() {
+            read_file(&open_path)?
+        } else {
+            Vec::new()
+        };
+        let scan = scan_open(&bytes, &open_path)?;
+        if scan.valid_len < MAGIC.len() as u64 {
+            // No open segment yet, or a crash during its creation: no
+            // records can exist.
+            write_fresh_segment(&open_path)?;
+        } else {
+            if scan.torn_bytes > 0 {
                 // Truncate the torn tail in place so the append position
                 // is exactly past the last intact record.
+                let io_err = |what: &str, e: std::io::Error| {
+                    StoreError::Io(format!("cannot {what} {}: {e}", open_path.display()))
+                };
                 let file = fs::OpenOptions::new()
                     .write(true)
                     .open(&open_path)
-                    .map_err(|e| {
-                        StoreError::Io(format!("cannot open {}: {e}", open_path.display()))
-                    })?;
-                file.set_len(scan.valid_len).map_err(|e| {
-                    StoreError::Io(format!("cannot truncate {}: {e}", open_path.display()))
-                })?;
-                file.sync_all().map_err(|e| {
-                    StoreError::Io(format!("cannot sync {}: {e}", open_path.display()))
-                })?;
+                    .map_err(|e| io_err("open", e))?;
+                file.set_len(scan.valid_len)
+                    .map_err(|e| io_err("truncate", e))?;
+                file.sync_all().map_err(|e| io_err("sync", e))?;
             }
-            if scan.valid_len >= MAGIC.len() as u64 {
-                open_bytes = scan.valid_len;
-                appended_bytes += scan.valid_len - MAGIC.len() as u64;
-            }
-            check_batch_texts(&scan.records)?;
-            fold.push(SegmentTail::of(&scan.records), &classification, shards)?;
-        } else {
-            write_fresh_segment(&open_path)?;
+            open_bytes = scan.valid_len;
+            appended_bytes += scan.valid_len - MAGIC.len() as u64;
         }
+        check_batch_texts(&scan.records)?;
+        fold.push(SegmentTail::of(&scan.records), &classification, shards)?;
         let replay = fold.finish_counting_all(&classification, shards)?;
         let open_file = fs::OpenOptions::new()
             .append(true)
@@ -365,7 +344,6 @@ impl Store {
             next_segment,
             first_closed,
             replay,
-            sealed,
             appended_bytes,
             segments_created: closed.len() as u64 + 1,
             compactions: 0,
@@ -408,7 +386,8 @@ impl Store {
     /// Screens, ingests and durably appends one telemetry batch stamped
     /// `ts_millis` (forced non-decreasing against the store's newest
     /// record), then applies the configured snapshot, roll and
-    /// compaction cadences.
+    /// compaction cadences: [`Store::append_batch_deferred`], then
+    /// [`Store::sync`].
     ///
     /// The append is fsynced before this returns: an acknowledged batch
     /// survives any crash. An empty post-screening batch still writes a
@@ -429,7 +408,9 @@ impl Store {
         text: &str,
         ts_millis: u64,
     ) -> Result<AppendReceipt, StoreError> {
-        self.append_batch_inner(text, ts_millis, true)
+        let receipt = self.append_batch_deferred(text, ts_millis)?;
+        self.sync()?;
+        Ok(receipt)
     }
 
     /// Like [`Store::append_batch`] but with the fsync *deferred*: the
@@ -440,10 +421,10 @@ impl Store {
     /// batches and pay one fsync for the group — callers must not
     /// acknowledge a batch before its covering `sync` succeeds.
     ///
-    /// In-memory state (cursors, fold, tallies) commits immediately, as
-    /// with the durable variant; if the covering sync later fails, the
-    /// store must be abandoned until a reopen re-derives state from disk
-    /// — exactly the existing i/o-error poisoning contract.
+    /// In-memory state (cursors, fold, tallies) commits once the record
+    /// is written; if the covering sync later fails, the store must be
+    /// abandoned until a reopen re-derives state from disk — exactly the
+    /// i/o-error poisoning contract.
     ///
     /// # Errors
     ///
@@ -453,7 +434,56 @@ impl Store {
         text: &str,
         ts_millis: u64,
     ) -> Result<AppendReceipt, StoreError> {
-        self.append_batch_inner(text, ts_millis, false)
+        let ts = ts_millis.max(self.replay.last_ts);
+        // Screening stages its cursor advances in the batch's own seqs:
+        // they commit only once the record is written, so a failed
+        // append can never leave cursors ahead of what was written — a
+        // retried batch after an ingest error is screened exactly as if
+        // the failed attempt never happened.
+        let screened = screen(text, &self.replay.cursors);
+        let segment = ingest_str(
+            &screened.kept,
+            &self.classification,
+            self.config.parse_shards,
+        )?;
+        let record = Record {
+            kind: RecordKind::Batch,
+            ts,
+            duplicates: screened.duplicates,
+            gap_events: screened.gap_events,
+            missing_seqs: screened.missing_seqs,
+            payload: screened.kept.into_bytes(),
+        };
+        let stored_bytes = self.write_record(&record)?;
+        self.replay.absorb(record.view(), &segment, screened.seqs);
+
+        let mut snapshot_written = false;
+        if self.config.snapshot_every_events > 0
+            && self.replay.events_since_snapshot >= self.config.snapshot_every_events
+        {
+            self.write_snapshot_deferred(ts)?;
+            snapshot_written = true;
+        }
+        let mut rolled = false;
+        if self.open_bytes >= self.config.roll_bytes {
+            self.roll()?;
+            rolled = true;
+            if self.config.compact_after_segments > 0
+                && self.next_segment - self.first_closed >= self.config.compact_after_segments
+            {
+                self.compact()?;
+            }
+        }
+        Ok(AppendReceipt {
+            segment,
+            duplicates: u64::from(screened.duplicates),
+            gap_events: u64::from(screened.gap_events),
+            missing_seqs: u64::from(screened.missing_seqs),
+            ts,
+            snapshot_written,
+            rolled,
+            stored_bytes,
+        })
     }
 
     /// Fsyncs the open segment if deferred appends left it dirty. No-op
@@ -474,100 +504,43 @@ impl Store {
         Ok(())
     }
 
-    fn append_batch_inner(
-        &mut self,
-        text: &str,
-        ts_millis: u64,
-        sync_now: bool,
-    ) -> Result<AppendReceipt, StoreError> {
-        let ts = ts_millis.max(self.replay.last_ts);
-        // Screening stages its cursor advances on a copy: they commit
-        // only once the record is durably on disk, so a failed append
-        // can never leave cursors ahead of what was persisted — a
-        // retried batch after an ingest error is screened exactly as if
-        // the failed attempt never happened.
-        let mut cursors = self.replay.cursors.clone();
-        let screened = screen(text, &mut cursors);
-        let segment = ingest_str(
-            &screened.kept,
-            &self.classification,
-            self.config.parse_shards,
-        )?;
-        let record = Record {
-            kind: RecordKind::Batch,
-            ts,
-            duplicates: screened.duplicates,
-            gap_events: screened.gap_events,
-            missing_seqs: screened.missing_seqs,
-            payload: screened.kept.into_bytes(),
-        };
-        let stored_bytes = self.write_record(&record, sync_now)?;
-
-        self.replay.cursors = cursors;
-        self.replay.state.merge(&segment);
-        self.replay.duplicates += u64::from(screened.duplicates);
-        self.replay.gap_events += u64::from(screened.gap_events);
-        self.replay.missing_seqs += u64::from(screened.missing_seqs);
-        self.replay.last_ts = ts;
-        self.replay.batches += 1;
-        self.replay.events_since_snapshot += segment.events();
-
-        let mut snapshot_written = false;
-        if self.config.snapshot_every_events > 0
-            && self.replay.events_since_snapshot >= self.config.snapshot_every_events
-        {
-            self.write_snapshot_inner(ts, sync_now)?;
-            snapshot_written = true;
-        }
-        let mut rolled = false;
-        if self.open_bytes >= self.config.roll_bytes {
-            self.roll()?;
-            rolled = true;
-            if self.config.compact_after_segments > 0
-                && self.next_segment - self.first_closed >= self.config.compact_after_segments
-            {
-                self.compact_closed()?;
-            }
-        }
-        Ok(AppendReceipt {
-            segment,
-            duplicates: u64::from(screened.duplicates),
-            gap_events: u64::from(screened.gap_events),
-            missing_seqs: u64::from(screened.missing_seqs),
-            ts,
-            snapshot_written,
-            rolled,
-            stored_bytes,
-        })
-    }
-
-    /// Writes a snapshot record of the current cumulative state. Called
-    /// on cadence by [`Store::append_batch`]; also useful before a
-    /// planned shutdown, so the next open folds from it.
+    /// Writes a snapshot record of the current cumulative state, then
+    /// [`Store::sync`]s. The append cadence writes the same record and
+    /// leaves the sync to its append; also useful before a planned
+    /// shutdown, so the next open folds from it.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] when the record cannot be made
     /// durable.
     pub fn write_snapshot(&mut self, ts: u64) -> Result<(), StoreError> {
-        self.write_snapshot_inner(ts, true)
+        self.write_snapshot_deferred(ts)?;
+        self.sync()
     }
 
-    fn write_snapshot_inner(&mut self, ts: u64, sync_now: bool) -> Result<(), StoreError> {
+    fn write_snapshot_deferred(&mut self, ts: u64) -> Result<(), StoreError> {
         let record = self
             .replay
             .snapshot_view()
             .record(ts.max(self.replay.last_ts));
-        self.write_record(&record, sync_now)?;
+        self.write_record(&record)?;
         self.replay.snapshots += 1;
         self.replay.events_since_snapshot = 0;
         self.replay.last_ts = record.ts;
         Ok(())
     }
 
-    /// Compacts the store: seals the open segment (if it holds records)
-    /// and rewrites all closed segments into one snapshot segment.
-    /// Returns `false` when there was nothing to compact.
+    /// Compacts the store: rewrites all closed segments into a single
+    /// snapshot segment under the *newest* closed index, then deletes the
+    /// older ones oldest-first. The open segment is rolled first if it
+    /// holds records, so the replica is exactly the fold of the closed
+    /// segments and the snapshot is the replica. Returns `false` when
+    /// there was nothing to compact.
+    ///
+    /// Readers racing this see either the old batch segments, or the
+    /// snapshot preceded by some not-yet-deleted batch segments — both
+    /// replay to the same state, because the snapshot *replaces*
+    /// whatever folded before it.
     ///
     /// # Errors
     ///
@@ -576,80 +549,11 @@ impl Store {
         if self.open_bytes > MAGIC.len() as u64 {
             self.roll()?;
         }
-        if self.next_segment - self.first_closed < 1 {
+        if self.next_segment == self.first_closed {
             return Ok(false);
         }
-        self.compact_closed()?;
-        Ok(true)
-    }
-
-    /// Appends `record` to the open segment, fsyncing it immediately
-    /// when `sync_now` and marking the store dirty for a later
-    /// [`Store::sync`] otherwise.
-    fn write_record(&mut self, record: &Record, sync_now: bool) -> Result<u64, StoreError> {
-        let bytes = record.encode();
-        let io_err = |what: &str, e: std::io::Error| {
-            StoreError::Io(format!("cannot {what} open segment: {e}"))
-        };
-        self.open_file
-            .write_all(&bytes)
-            .map_err(|e| io_err("append to", e))?;
-        if sync_now {
-            self.open_file.sync_all().map_err(|e| io_err("sync", e))?;
-            self.dirty = false;
-        } else {
-            self.dirty = true;
-        }
-        self.open_bytes += bytes.len() as u64;
-        self.appended_bytes += bytes.len() as u64;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Closes the open segment under the next index and starts a fresh
-    /// one. The rename + directory-fsync makes the closed segment
-    /// durable under its final name before any new record can land.
-    fn roll(&mut self) -> Result<(), StoreError> {
-        // Deferred appends must be durable before the segment is sealed
-        // under its closed name; for immediate-sync appends this is a
-        // no-op. The rename itself is made durable by the directory
-        // fsync.
-        self.sync()?;
-        let open_path = self.dir.join(OPEN_SEGMENT);
-        let closed_path = self.dir.join(closed_segment_name(self.next_segment));
-        fs::rename(&open_path, &closed_path).map_err(|e| {
-            StoreError::Io(format!(
-                "cannot close segment as {}: {e}",
-                closed_path.display()
-            ))
-        })?;
-        fsync_dir(&self.dir).map_err(|e| StoreError::Io(e.to_string()))?;
-        write_fresh_segment(&open_path)?;
-        self.open_file = fs::OpenOptions::new()
-            .append(true)
-            .open(&open_path)
-            .map_err(|e| StoreError::Io(format!("cannot open {}: {e}", open_path.display())))?;
-        self.open_bytes = MAGIC.len() as u64;
-        self.next_segment += 1;
-        self.segments_created += 1;
-        self.sealed = SealedBoundary {
-            payload: self.replay.snapshot_view().to_owned(),
-            ts: self.replay.last_ts,
-        };
-        Ok(())
-    }
-
-    /// Rewrites all closed segments into a single snapshot segment under
-    /// the *newest* closed index, then deletes the older ones
-    /// oldest-first. Readers racing this see either the old batch
-    /// segments, or the snapshot preceded by some not-yet-deleted batch
-    /// segments — both replay to the same state, because the snapshot
-    /// *replaces* whatever folded before it.
-    fn compact_closed(&mut self) -> Result<(), StoreError> {
         let last = self.next_segment - 1;
-        if last < self.first_closed {
-            return Ok(());
-        }
-        let record = self.sealed.payload.view().record(self.sealed.ts);
+        let record = self.replay.snapshot_view().record(self.replay.last_ts);
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&record.encode());
         let target = self.dir.join(closed_segment_name(last));
@@ -669,6 +573,47 @@ impl Store {
         fsync_dir(&self.dir).map_err(|e| StoreError::Io(e.to_string()))?;
         self.first_closed = last;
         self.compactions += 1;
+        Ok(true)
+    }
+
+    /// Appends `record` to the open segment and marks the store dirty
+    /// for the next [`Store::sync`].
+    fn write_record(&mut self, record: &Record) -> Result<u64, StoreError> {
+        let bytes = record.encode();
+        self.open_file
+            .write_all(&bytes)
+            .map_err(|e| StoreError::Io(format!("cannot append to open segment: {e}")))?;
+        self.dirty = true;
+        self.open_bytes += bytes.len() as u64;
+        self.appended_bytes += bytes.len() as u64;
+        Ok(bytes.len() as u64)
+    }
+
+    /// Closes the open segment under the next index and starts a fresh
+    /// one. The rename + directory-fsync makes the closed segment
+    /// durable under its final name before any new record can land.
+    fn roll(&mut self) -> Result<(), StoreError> {
+        // Every record must be durable before the segment is sealed
+        // under its closed name. The rename itself is made durable by
+        // the directory fsync.
+        self.sync()?;
+        let open_path = self.dir.join(OPEN_SEGMENT);
+        let closed_path = self.dir.join(closed_segment_name(self.next_segment));
+        fs::rename(&open_path, &closed_path).map_err(|e| {
+            StoreError::Io(format!(
+                "cannot close segment as {}: {e}",
+                closed_path.display()
+            ))
+        })?;
+        fsync_dir(&self.dir).map_err(|e| StoreError::Io(e.to_string()))?;
+        write_fresh_segment(&open_path)?;
+        self.open_file = fs::OpenOptions::new()
+            .append(true)
+            .open(&open_path)
+            .map_err(|e| StoreError::Io(format!("cannot open {}: {e}", open_path.display())))?;
+        self.open_bytes = MAGIC.len() as u64;
+        self.next_segment += 1;
+        self.segments_created += 1;
         Ok(())
     }
 }
@@ -683,6 +628,11 @@ fn check_batch_texts(records: &[RecordRef<'_>]) -> Result<(), StoreError> {
         }
     }
     Ok(())
+}
+
+/// Reads the whole file at `path`.
+fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
+    fs::read(path).map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))
 }
 
 /// Takes the exclusive advisory writer lock on `dir`'s [`LOCK_FILE`].
@@ -765,25 +715,33 @@ mod tests {
             line("B", 1.0, Some(3)), // first sighting above 1: gap of 2
             line("C", 1.0, None),    // unsequenced: passes through
         );
-        let screened = screen(&text, &mut cursors);
+        let screened = screen(&text, &cursors);
         assert_eq!(screened.duplicates, 1);
         assert_eq!(screened.gap_events, 2);
         assert_eq!(screened.missing_seqs, 4);
-        assert_eq!(cursors.get("A"), Some(&4));
-        assert_eq!(cursors.get("B"), Some(&3));
-        assert_eq!(cursors.get("C"), None);
+        assert_eq!(screened.seqs.get("A"), Some(&4));
+        assert_eq!(screened.seqs.get("B"), Some(&3));
+        assert_eq!(screened.seqs.get("C"), None);
         assert_eq!(screened.kept.lines().count(), 4);
-        // seq 0 can never be accepted: cursors start at 0.
-        let screened = screen(&line("D", 1.0, Some(0)), &mut cursors);
+        // A later batch is screened against the committed cursors.
+        cursors.insert("A".to_string(), 4);
+        let text = format!("{}\n{}\n", line("A", 1.0, Some(4)), line("A", 1.0, Some(5)));
+        let screened = screen(&text, &cursors);
+        assert_eq!((screened.duplicates, screened.gap_events), (1, 0));
+        assert_eq!(screened.seqs.get("A"), Some(&5));
+        // seq 0 can never be accepted: cursors start at 0, and a rejected
+        // line stages no cursor.
+        let text = line("D", 1.0, Some(0));
+        let screened = screen(&text, &cursors);
         assert_eq!(screened.duplicates, 1);
         assert_eq!(screened.kept, "");
+        assert!(screened.seqs.is_empty());
     }
 
     #[test]
     fn screening_keeps_malformed_lines_verbatim() {
-        let mut cursors = BTreeMap::new();
         let text = "{broken json\n\n{\"v\":99,\"event\":\"exposure\"}\n";
-        let screened = screen(text, &mut cursors);
+        let screened = screen(text, &BTreeMap::new());
         assert_eq!(screened.kept, text);
         assert_eq!(screened.duplicates, 0);
     }
@@ -838,6 +796,22 @@ mod tests {
         assert_eq!(receipt.duplicates, 1);
         assert!((store.state().exposure().value() - 1.0).abs() < 1e-12);
         assert_eq!(store.status().duplicates, 2);
+    }
+
+    #[test]
+    fn a_rejected_first_sighting_leaves_the_cursors_recovery_derives() {
+        let dir = temp_dir("seq-zero");
+        let mut store = open(&dir, StoreConfig::default());
+        let text = format!("{}\n{}\n", line("A", 1.0, Some(1)), line("D", 1.0, Some(0)));
+        assert_eq!(store.append_batch(&text, 10).unwrap().duplicates, 1);
+        let cursors = store.cursors().clone();
+        assert_eq!(cursors.get("D"), None);
+        store.write_snapshot(20).unwrap();
+        drop(store);
+        let store = open(&dir, StoreConfig::default());
+        assert_eq!(store.cursors(), &cursors);
+        let reader = crate::StoreReader::open(&dir, paper_classification().unwrap(), 1).unwrap();
+        assert!(reader.verify().unwrap().ok());
     }
 
     #[test]
@@ -940,6 +914,57 @@ mod tests {
         let mut store = store;
         store.append_batch(&line("A", 0.25, Some(5)), 50).unwrap();
         assert_eq!(store.status().closed_segments, 2);
+    }
+
+    #[test]
+    fn compaction_after_a_torn_tail_reopen_keeps_the_intact_prefix() {
+        let dir = temp_dir("torn-compact");
+        let config = StoreConfig {
+            roll_bytes: 700,
+            snapshot_every_events: 3,
+            ..StoreConfig::default()
+        };
+        let mut store = open(&dir, config);
+        // Until segments have rolled and the open one holds records.
+        let mut seq = 0;
+        while seq < 8 || store.status().open_bytes == MAGIC.len() as u64 {
+            seq += 1;
+            let text = format!("{}\n{}\n", line("A", 0.25, Some(seq)), line("B", 0.5, None));
+            store.append_batch(&text, seq * 10).unwrap();
+        }
+        assert!(store.status().closed_segments >= 1);
+        drop(store);
+        // Tear the open segment after its intact records: half of one
+        // more batch.
+        let open_path = dir.join(OPEN_SEGMENT);
+        let mut bytes = fs::read(&open_path).unwrap();
+        let torn = Record {
+            kind: RecordKind::Batch,
+            ts: seq * 10 + 10,
+            duplicates: 0,
+            gap_events: 0,
+            missing_seqs: 0,
+            payload: line("A", 0.25, Some(seq + 1)).into_bytes(),
+        }
+        .encode();
+        bytes.extend_from_slice(&torn[..torn.len() / 2]);
+        fs::write(&open_path, &bytes).unwrap();
+        let reader = crate::StoreReader::open(&dir, paper_classification().unwrap(), 2).unwrap();
+        let before = reader.fold_as_of(None).unwrap();
+        assert_eq!(before.torn_tail_bytes, (torn.len() / 2) as u64);
+        let expected = serde_json::to_string(&before.state).unwrap();
+
+        let mut store = open(&dir, config);
+        assert!(store.compact().unwrap());
+        assert_eq!(serde_json::to_string(store.state()).unwrap(), expected);
+        assert_eq!(store.cursors(), &before.cursors);
+        drop(store);
+        let store = open(&dir, config);
+        assert_eq!(serde_json::to_string(store.state()).unwrap(), expected);
+        assert_eq!(store.cursors(), &before.cursors);
+        assert_eq!(store.status().closed_segments, 1);
+        assert_eq!(store.status().open_bytes, MAGIC.len() as u64);
+        assert!(reader.verify().unwrap().ok());
     }
 
     #[test]

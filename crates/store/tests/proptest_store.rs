@@ -4,8 +4,10 @@
 //!   at the newest snapshot is byte-identical to sequentially replaying
 //!   every record, which is in turn byte-identical to the live writer's
 //!   replica and to a reopened store's recovered state;
-//! * **compacted ≡ replay** — compaction rewrites closed segments into
-//!   a snapshot without changing a single byte of any queryable state;
+//! * **compacted ≡ replay** — compaction, on request or on a segment
+//!   cadence, and also of a reopened-and-appended store, rewrites closed
+//!   segments into a snapshot without changing a single byte of any
+//!   queryable state;
 //! * **`as_of` ≡ offline prefix** — the time-travelled state at T
 //!   equals the batch-wise fold of exactly the batches with ts ≤ T, and
 //!   equals a one-shot offline ingest of the accepted (screened) log
@@ -33,7 +35,7 @@ use qrn_fleet::event::FleetEvent;
 use qrn_fleet::ingest::{fold_states, ingest_str, FleetState};
 use qrn_store::record::Record;
 use qrn_store::segment::{decode_closed, list_closed, scan_open, ReplayState, OPEN_SEGMENT};
-use qrn_store::{Store, StoreConfig, StoreReader, StoreStatus};
+use qrn_store::{ReplaySummary, Store, StoreConfig, StoreReader, StoreStatus};
 use qrn_units::{Hours, Speed};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -125,6 +127,7 @@ proptest! {
         cut_permilles in proptest::collection::vec(1usize..1000, 0..5),
         snapshot_every in prop_oneof![Just(0u64), Just(1u64), Just(3u64), Just(7u64)],
         roll_bytes in prop_oneof![Just(1u64), Just(900u64), Just(8u64 * 1024 * 1024)],
+        compact_after in prop_oneof![Just(0u64), Just(1u64), Just(3u64)],
         incident_stride in 3usize..9,
         dup_stride in 4usize..11,
         gap_stride in 5usize..13,
@@ -153,7 +156,7 @@ proptest! {
         let config = StoreConfig {
             snapshot_every_events: snapshot_every,
             roll_bytes,
-            compact_after_segments: 0,
+            compact_after_segments: compact_after,
             parse_shards: 2,
         };
         let dir = temp_dir();
@@ -165,9 +168,7 @@ proptest! {
             receipts.push(store.append_batch(batch, ts).unwrap());
             timestamps.push(ts);
         }
-        let live = json(store.state());
-        let live_cursors = store.cursors().clone();
-        let live_status = recovered(store.status());
+        let compacted = store.status().compactions > 0;
 
         // Screening actually fired: the injected duplicates were all
         // rejected.
@@ -175,74 +176,97 @@ proptest! {
         let total_dups: u64 = receipts.iter().map(|r| r.duplicates).sum();
         prop_assert_eq!(total_dups, injected_dups);
 
+        // Fast path (snapshot + tail) ≡ sequential full replay ≡ live ≡
+        // reopened, with or without snapshots to start from.
         let reader = StoreReader::open(&dir, classification.clone(), 3).unwrap();
-
-        // Fast path (snapshot + tail) ≡ sequential full replay ≡ live.
-        let fast = reader.fold_as_of(None).unwrap();
-        let full = reader.replay_sequential().unwrap();
-        prop_assert_eq!(&json(&fast.state), &live);
-        prop_assert_eq!(&json(&full.state), &live);
-        prop_assert_eq!(&fast.cursors, &live_cursors);
-        prop_assert_eq!(&full.cursors, &live_cursors);
-
-        // Reopen ≡ live: restart recovery replays to the same bytes and
-        // the same counters, with or without snapshots to start from.
-        drop(store);
-        let mut store = Store::open(&dir, classification.clone(), config).unwrap();
-        prop_assert_eq!(&json(store.state()), &live);
-        prop_assert_eq!(store.cursors(), &live_cursors);
-        prop_assert_eq!(recovered(store.status()), live_status);
+        let mut store = check_recovery(store, &reader, &dir, config);
 
         // Time travel: as_of each batch timestamp ≡ the batch-wise fold
-        // of the receipts up to it.
-        for (k, ts) in timestamps.iter().enumerate() {
+        // of the receipts up to it, for every batch a compaction has not
+        // folded into a snapshot.
+        let oldest = stored_records(&dir).first().map_or(0, |r| r.ts);
+        for (k, ts) in timestamps.iter().enumerate().filter(|(_, ts)| **ts >= oldest) {
             let at = reader.fold_as_of(Some(*ts)).unwrap();
             let expected = fold_states(receipts[..=k].iter().map(|r| r.segment.clone()));
             prop_assert_eq!(&json(&at.state), &json(&expected));
         }
         // …and the accepted-log prefix one-shot ingests to the same
-        // bytes (hours are dyadic, so grouping cannot round).
-        let mid_ts = timestamps[timestamps.len() / 2];
-        let dump = reader.dump_log(Some(mid_ts)).unwrap();
-        let offline = ingest_str(&dump, &classification, 1).unwrap();
-        let at = reader.fold_as_of(Some(mid_ts)).unwrap();
-        prop_assert_eq!(&json(&offline), &json(&at.state));
-
-        // The store verifies: every stored snapshot matches independent
-        // replay.
-        let report = reader.verify().unwrap();
-        prop_assert!(report.ok(), "{:?}", report.mismatches);
+        // bytes (hours are dyadic, so grouping cannot round). After a
+        // compaction the log holds only the tail past its snapshot.
+        if !compacted {
+            let mid_ts = timestamps[timestamps.len() / 2];
+            let dump = reader.dump_log(Some(mid_ts)).unwrap();
+            let offline = ingest_str(&dump, &classification, 1).unwrap();
+            let at = reader.fold_as_of(Some(mid_ts)).unwrap();
+            prop_assert_eq!(&json(&offline), &json(&at.state));
+        }
 
         // Compaction changes no queryable byte.
         store.compact().unwrap();
-        let fast = reader.fold_as_of(None).unwrap();
-        prop_assert_eq!(&json(&fast.state), &live);
-        let full = reader.replay_sequential().unwrap();
-        prop_assert_eq!(&json(&full.state), &live);
-        drop(store);
-        let store = Store::open(&dir, classification.clone(), config).unwrap();
-        prop_assert_eq!(&json(store.state()), &live);
-        prop_assert_eq!(store.cursors(), &live_cursors);
-        let report = reader.verify().unwrap();
-        prop_assert!(report.ok(), "{:?}", report.mismatches);
+        let mut store = check_recovery(store, &reader, &dir, config);
 
-        // Reopen → append → reopen: the appended store recovers to its
-        // own live bytes and counters.
-        let mut store = store;
+        // Reopen → append → reopen, then compact: the appended store
+        // recovers to its own live bytes and counters both times.
         let extra = render_lines(&events[..events.len().min(8)], incident_stride, dup_stride, gap_stride);
         let next_ts = timestamps.last().unwrap() + 1_000;
         store.append_batch(&(extra.join("\n") + "\n"), next_ts).unwrap();
-        let appended = json(store.state());
-        let appended_cursors = store.cursors().clone();
-        let appended_status = recovered(store.status());
-        drop(store);
-        let store = Store::open(&dir, classification.clone(), config).unwrap();
-        prop_assert_eq!(&json(store.state()), &appended);
-        prop_assert_eq!(store.cursors(), &appended_cursors);
-        prop_assert_eq!(recovered(store.status()), appended_status);
+        let mut store = check_recovery(store, &reader, &dir, config);
+        store.compact().unwrap();
+        check_recovery(store, &reader, &dir, config);
 
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Checks that the live `store`, the `reader`'s `fold_as_of(None)` and
+/// `replay_sequential`, and the store reopened from `dir` agree on state
+/// bytes, cursors and screening tallies, that the reopened store counts
+/// the records on disk, and that the store verifies. Returns the
+/// reopened store.
+fn check_recovery(
+    store: Store,
+    reader: &StoreReader,
+    dir: &std::path::Path,
+    config: StoreConfig,
+) -> Store {
+    let live = json(store.state());
+    let cursors = store.cursors().clone();
+    let status = store.status();
+    drop(store);
+    let reopened = Store::open(dir, paper_classification().unwrap(), config).unwrap();
+    let fast = reader.fold_as_of(None).unwrap();
+    let full = reader.replay_sequential().unwrap();
+    for (state, folded_cursors) in [
+        (&fast.state, &fast.cursors),
+        (&full.state, &full.cursors),
+        (reopened.state(), reopened.cursors()),
+    ] {
+        prop_assert_eq!(&json(state), &live);
+        prop_assert_eq!(folded_cursors, &cursors);
+    }
+    let tallies = |s: &ReplaySummary| (s.duplicates, s.gap_events, s.missing_seqs, s.last_ts);
+    let live_tallies = (
+        status.duplicates,
+        status.gap_events,
+        status.missing_seqs,
+        status.last_ts,
+    );
+    prop_assert_eq!(tallies(&fast), live_tallies);
+    prop_assert_eq!(tallies(&full), live_tallies);
+    // Recovery counts the records on disk, which are all the records
+    // appended until a compaction replaces some by one snapshot.
+    let on_disk = StoreStatus {
+        batches: full.batches,
+        snapshots: full.snapshots,
+        ..status
+    };
+    prop_assert_eq!(recovered(reopened.status()), recovered(on_disk));
+    if status.compactions == 0 {
+        prop_assert_eq!(recovered(on_disk), recovered(status));
+    }
+    let report = reader.verify().unwrap();
+    prop_assert!(report.ok(), "{:?}", report.mismatches);
+    reopened
 }
 
 /// Every checksum-valid record of the store at `dir`, in log order.
